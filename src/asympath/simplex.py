@@ -1,21 +1,38 @@
 """Exact rational linear programming via a dense two-phase simplex.
 
-Minimization only; all variables are nonnegative.  Every number is a
-Fraction, so optima are exact and all comparisons are strict.  Pricing is
-Dantzig's rule with an automatic permanent switch to Bland's rule when the
+Minimization only; all variables are nonnegative.  Pricing is Dantzig's
+rule with an automatic permanent switch to Bland's rule when the
 objective stalls, which guarantees termination.  Constraint rows can be
 appended after a solve and the optimum restored with dual simplex pivots,
 which keeps cutting-plane loops cheap.
+
+Row representation.  Every tableau row, and the objective and phase-1
+reduced-cost rows, is a list of Python int numerators over one positive
+int denominator, with their common factor divided out after every update.
+A pivot on column c scales the pivot row to prow / pden with
+prow[c] == pden, then replaces each row with a nonzero in column c by
+(row * pden - row[c] * prow) / (den * pden), reduced again: integer-
+preserving elimination in the style of Edmonds and Bareiss.  (Scaling by
+pden / gcd(row[c], pden) in place of pden gives the same reduced row.)  Values enter
+as Fractions (LpModel rows and cut rows, turned into integer rows over the
+lcm of their denominators) and leave as Fractions only in solution().
+
+Comparisons stay exact without Fractions.  Entries of one row share its
+positive denominator, so pricing compares numerators.  A ratio of two
+entries of one row is a ratio of numerators, as the denominator cancels.
+Quantities from different rows are compared by integer cross-
+multiplication with positive factors.  Every decision is therefore the one
+exact rational arithmetic makes, and so are the pivot path and the optimum.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import InputError, SolverError
 from .rational import rational_to_json
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -105,9 +122,13 @@ class SimplexSolver:
     def __init__(self, model):
         self.model = model
         self.status = None
-        self._rows = []      # tableau rows, each length ncols+1 (rhs last)
+        self._rows = []      # tableau row numerators, each length ncols+1 (rhs last)
+        self._dens = []      # positive denominator per tableau row
         self._basis = []     # basic column per row
-        self._obj = []       # reduced-cost row for the real objective
+        self._obj = []       # reduced-cost row numerators for the real objective
+        self._obj_den = 1
+        self._p1 = None      # phase-1 reduced-cost row numerators while phase 1 runs
+        self._p1_den = 1
         self._ncols = 0
         self._nstruct = model.num_vars
         self._bland = False
@@ -132,66 +153,68 @@ class SimplexSolver:
 
         Several cuts may be stacked before one reoptimize(): extra rows
         leave the reduced costs nonnegative, so the tableau stays dual
-        feasible.
+        feasible.  Coefficients may name structural variables only.
         """
-        if self.status not in (OPTIMAL, None) or not self._rows and not self._obj:
-            raise SolverError("cuts can only be added after a successful solve")
-        row = [ZERO] * (self._ncols + 1)
-        for j, c in coeffs.items():
-            row[j] = -Fraction(c)
-        row[-1] = -Fraction(rhs)
+        self._require_optimal("cuts can only be added after a successful solve")
+        coeffs = self.model._check_coeffs(coeffs)
+        slack_col = self._ncols
         # new slack column, basic in the new row
         for r in self._rows:
-            r.insert(self._ncols, ZERO)
-        self._obj.insert(self._ncols, ZERO)
-        row.insert(self._ncols, ONE)
-        slack_col = self._ncols
+            r.insert(slack_col, 0)
+        self._obj.insert(slack_col, 0)
         self._ncols += 1
+        row, den = _int_row({j: -c for j, c in coeffs.items()}, -Fraction(rhs), self._ncols)
+        row[slack_col] = den
         # express the new row in terms of the current basis
         for i, bc in enumerate(self._basis):
-            f = row[bc]
-            if f:
-                brow = self._rows[i]
-                row = [a - f * b if b else a for a, b in zip(row, brow)]
+            if row[bc]:
+                row, den = _eliminate(row, den, _nonzeros(self._rows[i]), self._dens[i], bc)
         self._rows.append(row)
+        self._dens.append(den)
         self._basis.append(slack_col)
         self.status = None
 
     def reoptimize(self):
         """Restore primal feasibility (after cuts) with dual simplex."""
+        self._require_optimal("reoptimize needs a successful solve")
+        rows, dens, basis, obj = self._rows, self._dens, self._basis, self._obj
         steps = 0
-        bland_after = 60 + 2 * (len(self._rows) + self._ncols)
+        bland_after = 60 + 2 * (len(rows) + self._ncols)
         while True:
             steps += 1
             r = -1
             if steps > bland_after:
                 # dual Bland: lowest basis index among infeasible rows
-                for i, row in enumerate(self._rows):
-                    if row[-1] < 0 and (r == -1 or self._basis[i] < self._basis[r]):
+                for i, row in enumerate(rows):
+                    if row[-1] < 0 and (r == -1 or basis[i] < basis[r]):
                         r = i
             else:
-                worst = ZERO
-                for i, row in enumerate(self._rows):
+                # most negative rhs, ties to the lowest basis index
+                for i, row in enumerate(rows):
                     v = row[-1]
-                    if v < worst or (v == worst < 0 and (r == -1 or self._basis[i] < self._basis[r])):
-                        worst = v
-                        r = i
+                    if v < 0:
+                        if r == -1:
+                            r = i
+                            continue
+                        diff = v * dens[r] - rows[r][-1] * dens[i]
+                        if diff < 0 or (diff == 0 and basis[i] < basis[r]):
+                            r = i
             if r == -1:
                 break
-            row = self._rows[r]
+            row = rows[r]
+            # dual ratio obj[j] / -row[j]; the two rows' denominators are
+            # a common positive factor, so numerators decide.  Ties keep
+            # the lowest column.
             best_j = -1
-            best_ratio = None
             for j in range(self._ncols):
                 a = row[j]
-                if a < 0:
-                    ratio = self._obj[j] / -a
-                    if best_ratio is None or ratio < best_ratio or (ratio == best_ratio and j < best_j):
-                        best_ratio = ratio
-                        best_j = j
+                if a < 0 and (best_j == -1 or obj[j] * -row[best_j] < obj[best_j] * -a):
+                    best_j = j
             if best_j == -1:
                 self.status = INFEASIBLE
                 return self.solution()
             self._pivot(r, best_j)
+            obj = self._obj
         self.status = OPTIMAL
         return self.solution()
 
@@ -201,13 +224,19 @@ class SimplexSolver:
         vals = [ZERO] * self._nstruct
         for i, bc in enumerate(self._basis):
             if bc < self._nstruct:
-                vals[bc] = self._rows[i][-1]
+                vals[bc] = Fraction(self._rows[i][-1], self._dens[i])
         values = {name: vals[j] for j, name in enumerate(self.model.names)}
-        return LpSolution(status=OPTIMAL, values=values, objective=-self._obj[-1])
+        return LpSolution(status=OPTIMAL, values=values,
+                          objective=Fraction(-self._obj[-1], self._obj_den))
 
     @property
     def pivots(self):
         return self._pivots
+
+    def _require_optimal(self, message):
+        # an optimal tableau, possibly with cut rows added since
+        if self.status not in (OPTIMAL, None) or not self._obj:
+            raise SolverError(message)
 
     # -- construction ---------------------------------------------------
 
@@ -217,14 +246,11 @@ class SimplexSolver:
         rows = []
         senses = []
         for sense, coeffs, rhs in m.constraints:
-            row = [ZERO] * nstruct
-            for j, c in coeffs.items():
-                row[j] = c
             if rhs < 0:
-                row = [-c for c in row]
+                coeffs = {j: -c for j, c in coeffs.items()}
                 rhs = -rhs
                 sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
-            rows.append((row, Fraction(rhs)))
+            rows.append((coeffs, rhs))
             senses.append(sense)
 
         nslack = sum(1 for s in senses if s in ("<=", ">="))
@@ -234,34 +260,37 @@ class SimplexSolver:
         art_at = nstruct + nslack
 
         tableau = []
+        dens = []
         basis = []
         art_cols = []
         si = slack_at
         ai = art_at
-        for (row, rhs), sense in zip(rows, senses):
-            full = row + [ZERO] * (nslack + nart) + [rhs]
+        for (coeffs, rhs), sense in zip(rows, senses):
+            full, den = _int_row(coeffs, rhs, ncols)
             if sense == "<=":
-                full[si] = ONE
+                full[si] = den
                 basis.append(si)
                 si += 1
             elif sense == ">=":
-                full[si] = -ONE
+                full[si] = -den
                 si += 1
-                full[ai] = ONE
+                full[ai] = den
                 basis.append(ai)
                 art_cols.append(ai)
                 ai += 1
             else:
-                full[ai] = ONE
+                full[ai] = den
                 basis.append(ai)
                 art_cols.append(ai)
                 ai += 1
+            full, den = _reduced(full, den)
             tableau.append(full)
+            dens.append(den)
 
-        obj = [Fraction(c) for c in m.obj] + [ZERO] * (nslack + nart) + [ZERO]
         self._rows = tableau
+        self._dens = dens
         self._basis = basis
-        self._obj = obj
+        self._obj, self._obj_den = _int_row(dict(enumerate(m.obj)), ZERO, ncols)
         self._ncols = ncols
         self._art_cols = set(art_cols)
         self._art_start = art_at
@@ -271,24 +300,25 @@ class SimplexSolver:
     def _phase1(self):
         if not self._art_cols:
             return True
-        p1 = [ZERO] * (self._ncols + 1)
+        p1 = [0] * (self._ncols + 1)
         for j in self._art_cols:
-            p1[j] = ONE
+            p1[j] = 1
+        p1_den = 1
         for i, bc in enumerate(self._basis):
             if bc in self._art_cols:
-                row = self._rows[i]
-                p1 = [a - b if b else a for a, b in zip(p1, row)]
+                p1, p1_den = _eliminate(p1, p1_den, _nonzeros(self._rows[i]), self._dens[i], bc)
+        self._p1, self._p1_den = p1, p1_den
         self._bland = False
         self._stall = 0
         # artificials may leave the basis but never re-enter
-        if not self._optimize(p1, forbid=self._art_cols):
+        if not self._optimize(phase1=True, forbid=self._art_cols):
             raise SolverError("phase 1 cannot be unbounded")
-        if -p1[-1] != 0:
+        if self._p1[-1] != 0:
             return False
-        self._purge_artificials(p1)
+        self._purge_artificials()
         return True
 
-    def _purge_artificials(self, p1):
+    def _purge_artificials(self):
         """Pivot artificials out of the basis, drop redundant rows, then
         cut the artificial columns off the tableau."""
         drop = []
@@ -304,26 +334,33 @@ class SimplexSolver:
             if pivot_col == -1:
                 drop.append(i)  # all-zero in real columns: redundant row
             else:
-                self._pivot(i, pivot_col, extra=p1)
+                self._pivot(i, pivot_col)
         for i in reversed(drop):
             del self._rows[i]
+            del self._dens[i]
             del self._basis[i]
         keep = self._art_start
-        self._rows = [r[:keep] + r[-1:] for r in self._rows]
-        self._obj = self._obj[:keep] + self._obj[-1:]
+        for i, r in enumerate(self._rows):
+            self._rows[i], self._dens[i] = _reduced(r[:keep] + r[-1:], self._dens[i])
+        self._obj, self._obj_den = _reduced(self._obj[:keep] + self._obj[-1:], self._obj_den)
+        self._p1 = None
         self._ncols = keep
         self._art_cols = set()
 
     def _phase2(self):
         self._bland = False
         self._stall = 0
-        return self._optimize(self._obj, forbid=None)
+        return self._optimize(phase1=False, forbid=None)
 
     # -- core mechanics ---------------------------------------------------
 
-    def _optimize(self, objrow, forbid):
+    def _pricing_row(self, phase1):
+        return (self._p1, self._p1_den) if phase1 else (self._obj, self._obj_den)
+
+    def _optimize(self, phase1, forbid):
         stall_limit = 60 + 2 * (len(self._rows) + self._ncols)
-        last_val = objrow[-1]
+        objrow, den = self._pricing_row(phase1)
+        last_val, last_den = objrow[-1], den
         while True:
             c = self._entering(objrow, forbid)
             if c == -1:
@@ -331,9 +368,10 @@ class SimplexSolver:
             r = self._leaving(c)
             if r == -1:
                 return False
-            self._pivot(r, c, extra=objrow if objrow is not self._obj else None)
-            if objrow[-1] != last_val:
-                last_val = objrow[-1]
+            self._pivot(r, c)
+            objrow, den = self._pricing_row(phase1)
+            if objrow[-1] * last_den != last_val * den:
+                last_val, last_den = objrow[-1], den
                 self._stall = 0
             else:
                 self._stall += 1
@@ -341,13 +379,14 @@ class SimplexSolver:
                     self._bland = True
 
     def _entering(self, objrow, forbid):
+        # one row shares one positive denominator, so numerators decide
         if self._bland:
             for j in range(self._ncols):
                 if objrow[j] < 0 and (forbid is None or j not in forbid):
                     return j
             return -1
         best = -1
-        best_val = ZERO
+        best_val = 0
         for j in range(self._ncols):
             v = objrow[j]
             if v < best_val and (forbid is None or j not in forbid):
@@ -356,45 +395,80 @@ class SimplexSolver:
         return best
 
     def _leaving(self, c):
+        # ratio rhs / row[c]: the row's denominator cancels, and rows are
+        # compared by cross-multiplying with the positive row[c]
         best = -1
-        best_ratio = None
         for i, row in enumerate(self._rows):
             a = row[c]
             if a > 0:
-                ratio = row[-1] / a
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and self._basis[i] < self._basis[best])
-                ):
-                    best_ratio = ratio
-                    best = i
+                if best == -1:
+                    best, best_rhs, best_a = i, row[-1], a
+                    continue
+                diff = row[-1] * best_a - best_rhs * a
+                if diff < 0 or (diff == 0 and self._basis[i] < self._basis[best]):
+                    best, best_rhs, best_a = i, row[-1], a
         return best
 
-    def _pivot(self, r, c, extra=None):
+    def _pivot(self, r, c):
         self._pivots += 1
-        rows = self._rows
+        rows, dens = self._rows, self._dens
+        # scale the pivot row to a unit pivot: prow / pden with prow[c] == pden
         prow = rows[r]
-        piv = prow[c]
-        if piv != 1:
-            inv = ONE / piv
-            prow = [x * inv if x else x for x in prow]
-            rows[r] = prow
-        for i in range(len(rows)):
-            if i == r:
-                continue
-            f = rows[i][c]
-            if f:
-                row = rows[i]
-                rows[i] = [a - f * b if b else a for a, b in zip(row, prow)]
-        f = self._obj[c]
-        if f:
-            self._obj[:] = [a - f * b if b else a for a, b in zip(self._obj, prow)]
-        if extra is not None:
-            f = extra[c]
-            if f:
-                extra[:] = [a - f * b if b else a for a, b in zip(extra, prow)]
+        pden = prow[c]
+        if pden < 0:
+            prow = [-x for x in prow]
+            pden = -pden
+        prow, pden = _reduced(prow, pden)
+        rows[r] = prow
+        dens[r] = pden
+        pnz = _nonzeros(prow)
+        for i, row in enumerate(rows):
+            if i != r and row[c]:
+                rows[i], dens[i] = _eliminate(row, dens[i], pnz, pden, c)
+        if self._obj[c]:
+            self._obj, self._obj_den = _eliminate(self._obj, self._obj_den, pnz, pden, c)
+        if self._p1 is not None and self._p1[c]:
+            self._p1, self._p1_den = _eliminate(self._p1, self._p1_den, pnz, pden, c)
         self._basis[r] = c
+
+
+def _reduced(nums, den):
+    """nums / den with the common factor of every entry and den removed."""
+    g = gcd(den, *nums)
+    if g == 1:
+        return nums, den
+    return [x // g for x in nums], den // g
+
+
+def _eliminate(row, den, pnz, pden, c):
+    """row / den minus its column-c multiple of the unit-pivot row
+    prow / pden, given as its nonzero (column, numerator) pairs with
+    prow[c] == pden.  Returns reduced numerators and denominator; row
+    itself may be updated in place."""
+    g = gcd(row[c], pden)
+    f = row[c] // g
+    scale = pden // g  # smallest multiplier that clears pden from f / pden
+    if scale != 1:
+        row = [a * scale for a in row]
+        den *= scale
+    for j, b in pnz:
+        row[j] -= f * b
+    return _reduced(row, den)
+
+
+def _nonzeros(row):
+    return [(j, b) for j, b in enumerate(row) if b]
+
+
+def _int_row(coeffs, rhs, ncols):
+    """Integer numerators over one common denominator for the Fraction
+    coefficients (column -> value) and rhs of a row with ncols columns."""
+    den = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
+    row = [0] * (ncols + 1)
+    for j, c in coeffs.items():
+        row[j] = c.numerator * (den // c.denominator)
+    row[-1] = rhs.numerator * (den // rhs.denominator)
+    return row, den
 
 
 def simplex_solve(model):

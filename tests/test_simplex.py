@@ -2,6 +2,12 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
+import pytest
+
+from asympath.errors import InputError, SolverError
+from asympath.graphs import max_flow_min_cut
+from asympath.lp import _extract_flow, _ReducedLatency, build_alpha_lp
+from asympath.metric import gen_random
 from asympath.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpModel, SimplexSolver, simplex_solve
 
 F = Fraction
@@ -135,22 +141,10 @@ def test_random_lps_match_vertex_enumeration():
         xs = [m.add_var(f"x{i}", obj=F(rng.randint(1, 9), rng.randint(1, 3))) for i in range(nv)]
         nc = rng.randint(2, 8)
         for _ in range(nc):
-            coeffs = {
-                j: F(rng.randint(-4, 6))
-                for j in range(nv)
-                if rng.random() < 0.7
-            }
-            coeffs = {j: c for j, c in coeffs.items() if c}
+            coeffs = _random_coeffs(rng, nv, -4, 6, 0.7)
             if not coeffs:
                 continue
-            rhs = F(rng.randint(-3, 10))
-            sense = rng.choice(["<=", ">=", "="])
-            if sense == "<=":
-                m.add_le(coeffs, rhs)
-            elif sense == ">=":
-                m.add_ge(coeffs, rhs)
-            else:
-                m.add_eq(coeffs, rhs)
+            _add_row(m, rng.choice(["<=", ">=", "="]), coeffs, _random_rational(rng, -3, 10))
         # positive objective coefficients keep the problem bounded below
         expected = enumerate_vertices(m)
         sol = simplex_solve(m)
@@ -163,46 +157,59 @@ def test_random_lps_match_vertex_enumeration():
     assert tried == 40
 
 
+def _random_rational(rng, lo, hi):
+    # denominator 1 half the time, otherwise 2, 3 or 4
+    return F(rng.randint(lo, hi), rng.choice([1, 1, 1, 2, 3, 4]))
+
+
+def _random_coeffs(rng, nv, lo, hi, density):
+    coeffs = {j: _random_rational(rng, lo, hi) for j in range(nv) if rng.random() < density}
+    return {j: c for j, c in coeffs.items() if c}
+
+
+def _add_row(model, sense, coeffs, rhs):
+    {"<=": model.add_le, ">=": model.add_ge, "=": model.add_eq}[sense](coeffs, rhs)
+
+
 def test_cut_and_reoptimize_matches_fresh_solve():
     rng = random.Random(99)
-    for trial in range(15):
+    reoptimized = infeasible_cuts = 0
+    for trial in range(30):
         m = LpModel()
         nv = rng.randint(2, 4)
-        xs = [m.add_var(f"x{i}", obj=F(rng.randint(1, 5))) for i in range(nv)]
-        base = []
+        for i in range(nv):
+            m.add_var(f"x{i}", obj=_random_rational(rng, 1, 5))
         for _ in range(3):
-            coeffs = {j: F(rng.randint(0, 4)) for j in range(nv)}
-            coeffs = {j: c for j, c in coeffs.items() if c}
-            if not coeffs:
-                coeffs = {0: F(1)}
-            rhs = F(rng.randint(1, 8))
-            m.add_ge(coeffs, rhs)
-            base.append((coeffs, rhs))
+            coeffs = _random_coeffs(rng, nv, -2, 4, 0.8) or {0: F(1)}
+            _add_row(m, rng.choice(["<=", ">=", ">=", "="]), coeffs, _random_rational(rng, -2, 8))
 
         solver = SimplexSolver(m)
         sol = solver.solve()
+        if enumerate_vertices(m) is None:
+            assert sol.status == INFEASIBLE
+            continue
         assert sol.status == OPTIMAL
-
-        cuts = []
-        for _ in range(3):
-            coeffs = {j: F(rng.randint(0, 3)) for j in range(nv)}
-            coeffs = {j: c for j, c in coeffs.items() if c}
-            if not coeffs:
-                coeffs = {rng.randrange(nv): F(1)}
-            rhs = F(rng.randint(1, 6))
-            cuts.append((coeffs, rhs))
-            solver.add_ge_cut(coeffs, rhs)
-            sol = solver.reoptimize()
-            assert sol.status == OPTIMAL
 
         fresh = LpModel()
         for i in range(nv):
             fresh.add_var(f"x{i}", obj=m.obj[i])
-        for coeffs, rhs in base + cuts:
+        fresh.constraints = list(m.constraints)
+        for _ in range(3):
+            coeffs = _random_coeffs(rng, nv, -1, 3, 0.8) or {rng.randrange(nv): F(1)}
+            rhs = _random_rational(rng, -2, 6)
+            solver.add_ge_cut(coeffs, rhs)
             fresh.add_ge(coeffs, rhs)
-        ref = simplex_solve(fresh)
-        assert ref.status == OPTIMAL
-        assert sol.objective == ref.objective
+            sol = solver.reoptimize()
+            expected = enumerate_vertices(fresh)
+            ref = simplex_solve(fresh)
+            if expected is None:
+                assert sol.status == ref.status == INFEASIBLE
+                infeasible_cuts += 1
+                break
+            assert sol.status == ref.status == OPTIMAL
+            assert sol.objective == ref.objective == expected
+            reoptimized += 1
+    assert reoptimized >= 20 and infeasible_cuts >= 1
 
 
 def test_solution_values_satisfy_constraints_exactly():
@@ -227,3 +234,80 @@ def test_solution_values_satisfy_constraints_exactly():
             assert sum(c * vals[j] for j, c in coeffs.items()) >= rhs
         assert all(v >= 0 for v in vals)
         assert sol.objective == sum(m.obj[j] * vals[j] for j in range(nv))
+
+
+def test_pivot_path_is_pinned():
+    """Pivot counts and optima recorded with the Fraction tableau: any
+    change to pricing, ratio tests or tie-breaking shows up here."""
+    # seed -> (solve pivots, LP objective, total pivots after one cut round, objective)
+    for seed, expected in {5: (58, 100, 63, 107), 7: (59, 130, 60, 140)}.items():
+        inst = gen_random(12, seed=seed, max_weight=100)
+        model, xv = build_alpha_lp(inst, 1)
+        solver = SimplexSolver(model)
+        first = solver.solve()
+        first_pivots = solver.pivots
+        flow = _extract_flow(first, inst)
+        cuts = set()
+        for v in range(inst.n):
+            if v != inst.s:
+                value, cut = max_flow_min_cut(flow, inst.s, v, nodes=range(inst.n))
+                if value < 1:
+                    cuts.add(cut)
+        assert cuts
+        for cut in sorted(cuts, key=sorted):
+            solver.add_ge_cut({xv[(u, w)]: 1 for u in range(inst.n) if u not in cut
+                               for w in cut if w != u}, 1)
+        second = solver.reoptimize()
+        assert (first_pivots, first.objective, solver.pivots, second.objective) == expected
+
+    for seed, expected in {1: (60, 146), 2: (67, 94)}.items():
+        solver = SimplexSolver(_ReducedLatency(gen_random(5, seed=seed, max_weight=50)).model)
+        sol = solver.solve()
+        assert (solver.pivots, sol.objective) == expected
+
+
+def _infeasible_model():
+    m = LpModel()
+    x = m.add_var("x", obj=1)
+    m.add_le({x: 1}, 1)
+    m.add_ge({x: 1}, 2)
+    return m
+
+
+def _unbounded_model():
+    m = LpModel()
+    x = m.add_var("x", obj=-1)
+    m.add_ge({x: 1}, 1)
+    return m
+
+
+@pytest.mark.parametrize("model", [_infeasible_model, _unbounded_model])
+def test_reoptimize_refuses_a_failed_solve(model):
+    solver = SimplexSolver(model())
+    assert solver.solve().status in (INFEASIBLE, UNBOUNDED)
+    with pytest.raises(SolverError):
+        solver.reoptimize()
+    with pytest.raises(SolverError):
+        solver.add_ge_cut({0: 1}, 0)
+
+
+def test_reoptimize_and_cuts_need_a_solve():
+    solver = SimplexSolver(_infeasible_model())
+    with pytest.raises(SolverError):
+        solver.reoptimize()
+    with pytest.raises(SolverError):
+        solver.add_ge_cut({0: 1}, 0)
+
+
+def test_cut_rows_name_structural_variables_only():
+    m = LpModel()
+    x = m.add_var("x", obj=1)
+    m.add_ge({x: 1}, 1)
+    solver = SimplexSolver(m)
+    assert solver.solve().objective == 1
+    for bad in ({1: 1}, {5: 1}, {-1: 1}):  # a slack column, past the tableau, negative
+        with pytest.raises(InputError):
+            solver.add_ge_cut(bad, 5)
+    solver.add_ge_cut({x: F(1, 2)}, F(5, 2))
+    sol = solver.reoptimize()
+    assert sol.status == OPTIMAL and sol.objective == 5
