@@ -3,13 +3,7 @@ the traveling salesman path, its k-person variant, and directed latency.
 """
 
 from .atspp import HamPath, multipath_cover, solve_atspp, solve_k_person
-from .cover import (
-    KPathCycleCover,
-    PathCycleCover,
-    min_k_path_cycle_cover,
-    min_path_cycle_cover,
-    strengthen_fractional_cover,
-)
+from .cover import KPathCycleCover, min_k_path_cycle_cover, strengthen_fractional_cover
 from .errors import (
     AcyclicityError,
     ContractError,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cover import min_k_path_cycle_cover
-from .errors import ContractError, InputError, InvariantError
+from .errors import CheckLog, ContractError, InputError, InvariantError
 from .graphs import (
     ArcFlow,
     decompose_flow,
@@ -31,7 +31,7 @@ ZERO = Fraction(0)
 
 
 @dataclass
-class CoverLoopState:
+class CoverLoopState(CheckLog):
     """Evolving state of the cover loop.
 
     W: active nodes; labels: per-node amortization counters; F: unit s-t
@@ -47,12 +47,7 @@ class CoverLoopState:
     cover_costs: list = field(default_factory=list)
     trace: list = field(default_factory=list)
     checks: list = field(default_factory=list)
-
-    def check(self, name, ok, witness):
-        self.checks.append({"name": name, "pass": bool(ok), "witness": witness})
-        if not ok:
-            raise InvariantError(f"cover loop check failed: {name} ({witness})",
-                                 state=self)
+    run_name = "cover loop"
 
     def arc_multiset(self):
         return Counter((u, v) for p in self.F for u, v in zip(p, p[1:]))

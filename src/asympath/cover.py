@@ -1,4 +1,4 @@
-"""Minimum-cost path-cycle covers via the assignment reduction, and the
+"""Minimum-cost k-path-cycle covers via the assignment reduction, and the
 rounding step that turns a feasible point of the relaxed cut LP (alpha >
 1/2) into a fractional solution of the unit-coverage path LP.
 """
@@ -15,15 +15,6 @@ ONE = Fraction(1)
 
 
 @dataclass
-class PathCycleCover:
-    """One s-t path plus node-disjoint cycles covering a node set exactly."""
-
-    path: list
-    cycles: list
-    cost: Fraction
-
-
-@dataclass
 class KPathCycleCover:
     """k s-t paths (disjoint except at the endpoints) plus disjoint cycles."""
 
@@ -32,18 +23,12 @@ class KPathCycleCover:
     cost: Fraction
 
 
-def min_path_cycle_cover(inst, W):
-    """Cheapest path-cycle cover of W by reduction to an assignment problem.
-
-    Every node of W except t gets an out-slot, every node except s an
-    in-slot; a perfect matching of slots is exactly a path-cycle cover.
-    """
-    cover = min_k_path_cycle_cover(inst, W, 1)
-    return PathCycleCover(path=cover.paths[0], cycles=cover.cycles, cost=cover.cost)
-
-
 def min_k_path_cycle_cover(inst, W, k):
-    """Cheapest k-path-cycle cover of W (k out-slots at s, k in-slots at t)."""
+    """Cheapest k-path-cycle cover of W by reduction to an assignment problem.
+
+    s gets k out-slots and t k in-slots, every other node of W one of
+    each; a perfect matching of slots is exactly a k-path-cycle cover.
+    """
     if k < 1:
         raise InputError("k must be >= 1")
     W = sorted(set(W))

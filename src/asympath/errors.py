@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check log whose
+failures raise InvariantError."""
 
 
 class SolverError(Exception):
@@ -38,6 +39,22 @@ class InvariantError(SolverError):
     def __init__(self, message, state=None):
         super().__init__(message)
         self.state = state
+
+
+class CheckLog:
+    """Mixin for solver run states that keep a list self.checks.
+
+    check() appends {"name", "pass", "witness"} and, on failure, raises
+    InvariantError carrying the state; run_name prefixes the message.
+    """
+
+    run_name = "solver run"
+
+    def check(self, name, ok, witness):
+        self.checks.append({"name": name, "pass": bool(ok), "witness": witness})
+        if not ok:
+            raise InvariantError(f"{self.run_name} check failed: {name} ({witness})",
+                                 state=self)
 
 
 class DegenerateLatencyError(SolverError):

@@ -88,12 +88,6 @@ class ArcFlow:
             f._m = {arc: amt * factor for arc, amt in self._m.items()}
         return f
 
-    def plus(self, other):
-        f = self.copy()
-        for (u, v), amt in other.items():
-            f.add(u, v, amt)
-        return f
-
     def out_flow(self, u):
         return sum((amt for (a, _), amt in self._m.items() if a == u), ZERO)
 

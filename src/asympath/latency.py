@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .atspp import multipath_cover, solve_atspp
-from .errors import DegenerateLatencyError, InputError, InvariantError
+from .errors import CheckLog, DegenerateLatencyError, InputError, InvariantError
 from .graphs import shortcut
 from .lp import normalize_latencies, solve_latency_lp
 from .metric import induced_subinstance
@@ -33,7 +33,7 @@ class LatencyOrder:
 
 
 @dataclass
-class BucketState:
+class BucketState(CheckLog):
     """Trace of one solver run: bucket evolution, pivots, appends, checks."""
 
     sigma: Fraction = ZERO
@@ -45,12 +45,7 @@ class BucketState:
     lp_objective: Fraction = ZERO
     floored_objective: Fraction = ZERO
     normalized: dict = field(default_factory=dict)
-
-    def check(self, name, ok, witness):
-        self.checks.append({"name": name, "pass": bool(ok), "witness": witness})
-        if not ok:
-            raise InvariantError(f"latency run check failed: {name} ({witness})",
-                                 state=self)
+    run_name = "latency run"
 
     def to_jsonable(self):
         return {
@@ -109,12 +104,6 @@ def total_latency(inst, order, weights=None):
     return total
 
 
-def _bucket_weight(inst, nodes, weighted):
-    if not weighted:
-        return Fraction(len(nodes))
-    return sum((inst.weight(v) for v in nodes), ZERO)
-
-
 def solve_latency(inst, weighted=False):
     """Hamiltonian s-t order with total latency within a logarithmic
     factor of the relaxation optimum.  Returns (LatencyOrder, BucketState).
@@ -130,6 +119,12 @@ def solve_latency(inst, weighted=False):
             if u != v and inst.d[u][v] <= 0:
                 raise DegenerateLatencyError(
                     f"distance ({u},{v}) must be positive for the latency solver")
+
+    def node_weight(u):
+        return inst.weight(u) if weighted else ONE
+
+    def bucket_weight(nodes):
+        return sum((node_weight(v) for v in nodes), ZERO)
 
     state = BucketState()
     lp_sol = solve_latency_lp(inst, weighted=weighted)
@@ -166,12 +161,9 @@ def solve_latency(inst, weighted=False):
         buckets[i].add(v)
     state.initial_buckets = {i: set(vs) for i, vs in buckets.items()}
 
-    init_weight = {
-        i: _bucket_weight(inst, vs, weighted) for i, vs in buckets.items()
-    }
+    init_weight = {i: bucket_weight(vs) for i, vs in buckets.items()}
     lower = sum((init_weight[i] * Fraction(2) ** (i - 1) for i in buckets), ZERO)
-    normalized_obj = sum(
-        ((inst.weight(v) if weighted else ONE) * val for v, val in elln.items()), ZERO)
+    normalized_obj = sum((node_weight(v) * val for v, val in elln.items()), ZERO)
     state.check("bucket-lower-bound", normalized_obj >= lower,
                 f"normalized objective {normalized_obj} vs {lower}")
 
@@ -179,12 +171,9 @@ def solve_latency(inst, weighted=False):
     route = [s]
     pow2 = {i: Fraction(2) ** i for i in range(g + 1)}
 
-    def node_weight(u):
-        return inst.weight(u) if weighted else ONE
-
     for i in range(1, g):
         start_members = sorted(buckets[i])
-        start_weight = _bucket_weight(inst, buckets[i], weighted)
+        start_weight = bucket_weight(buckets[i])
         for j in (1, 2):
             if not buckets[i]:
                 continue
@@ -193,11 +182,10 @@ def solve_latency(inst, weighted=False):
             def fans(v):
                 return [u for u in members if u != v and x[(u, v)] >= Fraction(1, 2)]
 
-            pivot = max(members,
-                        key=lambda v: (sum((node_weight(u) for u in fans(v)), ZERO), -v))
+            pivot = max(members, key=lambda v: (bucket_weight(fans(v)), -v))
             b_set = set(fans(pivot))
-            cur_weight = _bucket_weight(inst, buckets[i], weighted)
-            got = _bucket_weight(inst, b_set, weighted) + node_weight(pivot)
+            cur_weight = bucket_weight(buckets[i])
+            got = bucket_weight(b_set) + node_weight(pivot)
             state.check("pivot-coverage", 2 * got >= cur_weight,
                         f"scale {i} pass {j}: captured {got} of {cur_weight}")
 
@@ -252,7 +240,7 @@ def solve_latency(inst, weighted=False):
             buckets[i] -= a_set | b_set | {pivot}
 
         end_members = sorted(buckets[i])
-        end_weight = _bucket_weight(inst, buckets[i], weighted)
+        end_weight = bucket_weight(buckets[i])
         state.shrink.append({
             "i": i,
             "start": start_members,
@@ -297,7 +285,7 @@ def solve_latency(inst, weighted=False):
         acc += inst.d[u][v]
         latencies[v] = acc
     latencies[s] = ZERO
-    total = total_latency(inst, final, inst.weights if weighted else None)
+    total = total_latency(inst, final, None if weighted else [ONE] * n)
     if not weighted:
         total_check = sum((latencies[v] for v in range(n) if v != s), ZERO)
         if total != total_check:

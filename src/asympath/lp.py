@@ -7,7 +7,7 @@ appended to a solved tableau and reoptimized with dual simplex, so each
 round costs only a handful of pivots.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import DegenerateLatencyError, InputError, InvariantError
@@ -19,9 +19,33 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def _separation_cap(n):
-    # generous cap on cutting-plane rounds; exceeded only on a logic error
-    return 10 * n * n
+def _cutting_planes(solver, separate, n, what):
+    """Solve, then add the rows separate(sol) reports and reoptimize until
+    it reports none.
+
+    separate returns one round's violated rows as (key, coeffs, rhs), each
+    read as coeffs . x >= rhs.  An added row holds at every later optimum,
+    so a key reported twice is a logic error.  Returns (sol, rounds) where
+    rounds counts the separation passes, the last one included.
+    """
+    sol = solver.solve()
+    if sol.status != OPTIMAL:
+        raise InvariantError(f"{what} reported {sol.status}")
+    added = set()
+    # a generous cap on rounds, exceeded only on a logic error
+    for rounds in range(1, 10 * n * n + 1):
+        rows = separate(sol)
+        if not rows:
+            return sol, rounds
+        for key, coeffs, rhs in rows:
+            if key in added:
+                raise InvariantError(f"{what}: the added row {key} is violated again")
+            added.add(key)
+            solver.add_ge_cut(coeffs, rhs)
+        sol = solver.reoptimize()
+        if sol.status != OPTIMAL:
+            raise InvariantError(f"cut rows made the {what} {sol.status}")
+    raise InvariantError(f"{what} separation did not converge within the round cap")
 
 
 # ---------------------------------------------------------------------------
@@ -74,40 +98,23 @@ def solve_lp_alpha(inst, alpha):
     alpha = Fraction(alpha)
     n, s = inst.n, inst.s
     model, xv = build_alpha_lp(inst, alpha)
-    solver = SimplexSolver(model)
-    sol = solver.solve()
-    if sol.status != OPTIMAL:
-        raise InvariantError(f"cut relaxation reported {sol.status} on a complete metric")
 
-    enforced = set()
-    for _ in range(_separation_cap(n)):
+    def separate(sol):
         flow = _extract_flow(sol, inst)
         violated = set()
         for v in range(n):
-            if v == s:
-                continue
-            value, cut = max_flow_min_cut(flow, s, v, nodes=range(n))
-            if value < alpha:
-                if cut in enforced:
-                    # rows added in earlier rounds hold at an optimal tableau
-                    raise InvariantError("an enforced cut row is violated")
-                violated.add(cut)
-        if not violated:
-            return sol.objective, flow
-        enforced |= violated
-        for cut in sorted(violated, key=sorted):
-            coeffs = {
-                xv[(u, w)]: ONE
-                for u in range(n)
-                if u not in cut
-                for w in cut
-                if w != u
-            }
-            solver.add_ge_cut(coeffs, alpha)
-        sol = solver.reoptimize()
-        if sol.status != OPTIMAL:
-            raise InvariantError("cut addition made the relaxation infeasible")
-    raise InvariantError("cut separation did not converge within the round cap")
+            if v != s:
+                value, cut = max_flow_min_cut(flow, s, v, nodes=range(n))
+                if value < alpha:
+                    violated.add(cut)
+        return [
+            (cut, {xv[(u, w)]: ONE for u in range(n) if u not in cut for w in cut if w != u},
+             alpha)
+            for cut in sorted(violated, key=sorted)
+        ]
+
+    sol, _ = _cutting_planes(SimplexSolver(model), separate, n, "cut relaxation")
+    return sol.objective, _extract_flow(sol, inst)
 
 
 def _extract_flow(sol, inst):
@@ -274,114 +281,15 @@ class LatencyLpSolution:
         }
 
 
-def build_latency_lp(inst, weighted=False, include_flow_domination=False):
-    """The full ordering/flow relaxation as an explicit LpModel.
+def build_latency_lp(inst, weighted=False):
+    """The latency relaxation as solve_latency_lp starts from: the reduced
+    program of _ReducedLatency before any lazy row is added."""
+    return _ReducedLatency(inst, weighted=weighted).model
 
-    Contains the latency, pairwise-order, triple-order, and per-target
-    flow variables with every constraint family except the separated cut
-    family (added lazily by solve_latency_lp) and, by default, the
-    flow-domination rows f[v] <= f[t] that the bound analysis never uses;
-    pass include_flow_domination=True to add them back for experiments.
-    """
-    n, s, t = inst.n, inst.s, inst.t
-    d = inst.d
-    model = LpModel()
-    lv = {}
-    for v in range(n):
-        if v != s:
-            lv[v] = model.add_var(f"l[{v}]", obj=inst.weight(v) if weighted else ONE)
-    xp = {}
-    for u in range(n):
-        for w in range(n):
-            if u != w:
-                xp[(u, w)] = model.add_var(f"x[{u},{w}]")
-    x3 = {}
-    for u in range(n):
-        for v in range(n):
-            for w in range(n):
-                if len({u, v, w}) == 3:
-                    x3[(u, v, w)] = model.add_var(f"x3[{u},{v},{w}]")
-    fv = {}
-    for v in range(n):
-        if v == s:
-            continue
-        fv[v] = {}
-        for u in range(n):
-            for w in range(n):
-                if u != w:
-                    fv[v][(u, w)] = model.add_var(f"f[{v}][{u},{w}]")
 
-    for v in range(n):
-        if v == s:
-            continue
-        coeffs = {lv[v]: ONE}
-        for (u, w), idx in fv[v].items():
-            if d[u][w]:
-                coeffs[idx] = -d[u][w]
-        model.add_ge(coeffs, ZERO)
-        if v != t:
-            model.add_ge({lv[t]: ONE, lv[v]: -ONE}, ZERO)
-
-    for u in range(n):
-        for w in range(n):
-            if u == w:
-                continue
-            for v in range(n):
-                if v in (u, w):
-                    continue
-                if v != s:
-                    coef = d[s][u] + d[u][w] + d[w][v]
-                    model.add_ge({lv[v]: ONE, x3[(u, w, v)]: -coef}, ZERO)
-                model.add_eq(
-                    {
-                        xp[(u, w)]: ONE,
-                        x3[(v, u, w)]: -ONE,
-                        x3[(u, v, w)]: -ONE,
-                        x3[(u, w, v)]: -ONE,
-                    },
-                    ZERO,
-                )
-            if u < w:
-                model.add_eq({xp[(u, w)]: ONE, xp[(w, u)]: ONE}, ONE)
-    for u in range(n):
-        if u in (s, t):
-            continue
-        model.add_eq({xp[(s, u)]: ONE}, ONE)
-        model.add_eq({xp[(u, t)]: ONE}, ONE)
-
-    for v in range(n):
-        if v == s:
-            continue
-        arcs = fv[v]
-        for u in range(n):
-            if u in (s, v):
-                continue
-            coeffs = {}
-            for w in range(n):
-                if w != u:
-                    coeffs[arcs[(w, u)]] = coeffs.get(arcs[(w, u)], ZERO) + ONE
-                    coeffs[arcs[(u, w)]] = coeffs.get(arcs[(u, w)], ZERO) - ONE
-            model.add_eq(coeffs, ZERO)
-        model.add_eq({arcs[(s, w)]: ONE for w in range(n) if w != s}, ONE)
-        model.add_eq({arcs[(w, v)]: ONE for w in range(n) if w != v}, ONE)
-        for u in range(n):
-            if u != s:
-                model.add_eq({arcs[(u, s)]: ONE}, ZERO)
-            if u != v:
-                model.add_eq({arcs[(v, u)]: ONE}, ZERO)
-        for u in range(n):
-            if u == v:
-                continue
-            coeffs = {arcs[(u, w)]: ONE for w in range(n) if w != u}
-            coeffs[xp[(u, v)]] = -ONE
-            model.add_eq(coeffs, ZERO)
-    if include_flow_domination:
-        for v in range(n):
-            if v in (s, t):
-                continue
-            for arc, idx in fv[v].items():
-                model.add_ge({fv[t][arc]: ONE, idx: -ONE}, ZERO)
-    return model
+def _net_inflow(arcs, u):
+    """Coefficients of flow into u minus flow out of u over arcs {arc: column}."""
+    return {idx: ONE if b == u else -ONE for (a, b), idx in arcs.items() if u in (a, b)}
 
 
 class _ReducedLatency:
@@ -460,12 +368,9 @@ class _ReducedLatency:
             return ZERO, {}
         return ZERO, {self.z[(a, b, c)]: ONE}
 
-    def pair_value(self, values, u, w):
-        const, terms = self.pair_expr(u, w)
-        return const + sum((values[j] * c for j, c in terms.items()), ZERO)
-
-    def triple_value(self, values, a, b, c):
-        const, terms = self.triple_expr(a, b, c)
+    @staticmethod
+    def value(values, expr):
+        const, terms = expr
         return const + sum((values[j] * c for j, c in terms.items()), ZERO)
 
     def _build_rows(self):
@@ -517,15 +422,8 @@ class _ReducedLatency:
         for v in self.P:
             arcs = self.fv[v]
             for u in self.P:
-                if u == v:
-                    continue
-                coeffs = {}
-                for (a, b), idx in arcs.items():
-                    if b == u:
-                        coeffs[idx] = coeffs.get(idx, ZERO) + ONE
-                    if a == u:
-                        coeffs[idx] = coeffs.get(idx, ZERO) - ONE
-                model.add_eq(coeffs, ZERO)
+                if u != v:
+                    model.add_eq(_net_inflow(arcs, u), ZERO)
             model.add_eq({idx: ONE for (a, b), idx in arcs.items() if a == s}, ONE)
             model.add_eq({idx: ONE for (a, b), idx in arcs.items() if b == v}, ONE)
             for u in self.P:
@@ -539,13 +437,7 @@ class _ReducedLatency:
 
         arcs = self.fv[t]
         for u in self.P:
-            coeffs = {}
-            for (a, b), idx in arcs.items():
-                if b == u:
-                    coeffs[idx] = coeffs.get(idx, ZERO) + ONE
-                if a == u:
-                    coeffs[idx] = coeffs.get(idx, ZERO) - ONE
-            model.add_eq(coeffs, ZERO)
+            model.add_eq(_net_inflow(arcs, u), ZERO)
             model.add_eq({idx: ONE for (a, b), idx in arcs.items() if a == u}, ONE)
         model.add_eq({idx: ONE for (a, b), idx in arcs.items() if a == s}, ONE)
         model.add_eq({idx: ONE for (a, b), idx in arcs.items() if b == t}, ONE)
@@ -553,7 +445,8 @@ class _ReducedLatency:
     # lazy constraint families ------------------------------------------
 
     def order_latency_rows(self):
-        """All prefix-length rows: (v, coef, expr, row coefficients, rhs)."""
+        """Every prefix-length row that is not trivially satisfied, as
+        (key, coeffs, rhs)."""
         n, s = self.n, self.s
         d = self.inst.d
         rows = []
@@ -573,18 +466,8 @@ class _ReducedLatency:
                     coeffs = {self.lv[v]: ONE}
                     for j, c in terms.items():
                         coeffs[j] = coeffs.get(j, ZERO) - coef * c
-                    rows.append(((u, w, v), coeffs, coef * const, coef, const, terms))
+                    rows.append(((u, w, v), coeffs, coef * const))
         return rows
-
-    def violated_order_rows(self, values, already):
-        out = []
-        for key, coeffs, rhs, coef, const, terms in self._order_rows:
-            if key in already:
-                continue
-            lhs = sum((values[j] * c for j, c in coeffs.items()), ZERO)
-            if lhs < rhs:
-                out.append((key, coeffs, rhs))
-        return out
 
     def flow_of(self, values, v):
         f = ArcFlow()
@@ -594,7 +477,7 @@ class _ReducedLatency:
                 f.add(*arc, val)
         return f
 
-    def violated_cut_rows(self, values, already):
+    def violated_cut_rows(self, values):
         out = []
         n, s = self.n, self.s
         for v in sorted(self.fv):
@@ -602,14 +485,11 @@ class _ReducedLatency:
             for ynode in self.P:
                 if ynode == v:
                     continue
-                need = self.pair_value(values, ynode, v)
+                need = self.value(values, self.pair_expr(ynode, v))
                 if need <= 0:
                     continue
                 value, cut = max_flow_min_cut(flow, s, ynode, nodes=range(n))
                 if value >= need:
-                    continue
-                key = (v, ynode, cut)
-                if key in already:
                     continue
                 const, terms = self.pair_expr(ynode, v)
                 coeffs = {}
@@ -618,31 +498,27 @@ class _ReducedLatency:
                         coeffs[idx] = ONE
                 for j, c in terms.items():
                     coeffs[j] = coeffs.get(j, ZERO) - c
-                out.append((key, coeffs, const))
+                out.append(((v, ynode, cut), coeffs, const))
         return out
 
     def solve(self):
-        solver = SimplexSolver(self.model)
-        sol = solver.solve()
-        if sol.status != OPTIMAL:
-            raise InvariantError(f"latency relaxation reported {sol.status}")
-        self._order_rows = self.order_latency_rows()
-        added = set()
-        rounds = 0
-        for _ in range(_separation_cap(self.n)):
-            rounds += 1
-            values = [sol.values[name] for name in self.model.names]
-            new_rows = self.violated_order_rows(values, added)
-            new_rows += self.violated_cut_rows(values, added)
-            if not new_rows:
-                return sol, values, rounds
-            for key, coeffs, rhs in new_rows:
-                added.add(key)
-                solver.add_ge_cut(coeffs, rhs)
-            sol = solver.reoptimize()
-            if sol.status != OPTIMAL:
-                raise InvariantError("latency cut addition made the program infeasible")
-        raise InvariantError("latency separation did not converge within the round cap")
+        """Cutting-plane optimum, reconstructed over the full variable set."""
+        order_rows = self.order_latency_rows()
+
+        def values_of(sol):
+            return [sol.values[name] for name in self.model.names]
+
+        def separate(sol):
+            values = values_of(sol)
+            violated = [
+                (key, coeffs, rhs) for key, coeffs, rhs in order_rows
+                if sum((values[j] * c for j, c in coeffs.items()), ZERO) < rhs
+            ]
+            return violated + self.violated_cut_rows(values)
+
+        sol, rounds = _cutting_planes(SimplexSolver(self.model), separate, self.n,
+                                      "latency relaxation")
+        return self.reconstruct(values_of(sol), sol.objective, rounds)
 
     def reconstruct(self, values, objective, rounds):
         n, s, t = self.n, self.s, self.t
@@ -650,13 +526,13 @@ class _ReducedLatency:
         for u in range(n):
             for w in range(n):
                 if u != w:
-                    x[(u, w)] = self.pair_value(values, u, w)
+                    x[(u, w)] = self.value(values, self.pair_expr(u, w))
         x3 = {}
         for u in range(n):
             for v in range(n):
                 for w in range(n):
                     if len({u, v, w}) == 3:
-                        x3[(u, v, w)] = self.triple_value(values, u, v, w)
+                        x3[(u, v, w)] = self.value(values, self.triple_expr(u, v, w))
         flows = {v: self.flow_of(values, v) for v in self.fv}
         ell = {v: values[self.lv[v]] for v in self.lv}
         return LatencyLpSolution(
@@ -673,69 +549,12 @@ def solve_latency_lp(inst, weighted=False):
     """
     if inst.n < 2:
         raise InputError("latency LP needs n >= 2")
-    prog = _ReducedLatency(inst, weighted=weighted)
-    sol, values, rounds = prog.solve()
-    full = prog.reconstruct(values, sol.objective, rounds)
+    full = _ReducedLatency(inst, weighted=weighted).solve()
     bad = full.verify(inst)
     if bad:
         raise InvariantError("reconstructed latency solution failed verification",
                              state=bad)
     return full
-
-
-def _solve_latency_lp_reference(inst, weighted=False, max_rounds=None):
-    """Slow reference: the full model solved directly, cuts separated on
-    the full flow variables.  Used by tests to pin down equivalence."""
-    model = build_latency_lp(inst, weighted=weighted)
-    n, s = inst.n, inst.s
-    solver = SimplexSolver(model)
-    sol = solver.solve()
-    if sol.status != OPTIMAL:
-        raise InvariantError(f"full latency model reported {sol.status}")
-    added = set()
-    cap = max_rounds if max_rounds is not None else _separation_cap(n)
-    for _ in range(cap):
-        new_rows = []
-        for v in range(n):
-            if v == s:
-                continue
-            flow = ArcFlow()
-            for u in range(n):
-                for w in range(n):
-                    if u != w:
-                        val = sol.values[f"f[{v}][{u},{w}]"]
-                        if val:
-                            flow.add(u, w, val)
-            for ynode in range(n):
-                if ynode in (s, v):
-                    continue
-                need = sol.values[f"x[{ynode},{v}]"]
-                if need <= 0:
-                    continue
-                value, cut = max_flow_min_cut(flow, s, ynode, nodes=range(n))
-                if value >= need:
-                    continue
-                key = (v, ynode, cut)
-                if key in added:
-                    continue
-                added.add(key)
-                coeffs = {
-                    model.var(f"f[{v}][{u},{w}]"): ONE
-                    for u in range(n)
-                    if u not in cut
-                    for w in cut
-                    if w != u
-                }
-                coeffs[model.var(f"x[{ynode},{v}]")] = -ONE
-                new_rows.append(coeffs)
-        if not new_rows:
-            return sol
-        for coeffs in new_rows:
-            solver.add_ge_cut(coeffs, ZERO)
-        sol = solver.reoptimize()
-        if sol.status != OPTIMAL:
-            raise InvariantError("full latency model became infeasible")
-    raise InvariantError("full latency separation did not converge")
 
 
 def normalize_latencies(sol, inst):
@@ -760,10 +579,7 @@ def normalize_latencies(sol, inst):
     objective2 = sum((weight(v) * val for v, val in ell2.items()), ZERO)
     if objective2 > (ONE + Fraction(1, n)) * sol.objective:
         raise InvariantError("latency floor rule exceeded its growth bound")
-    floored = LatencyLpSolution(
-        n=sol.n, s=sol.s, t=sol.t, x=sol.x, x3=sol.x3, flows=sol.flows,
-        ell=ell2, objective=objective2, weighted=sol.weighted, rounds=sol.rounds,
-    )
+    floored = replace(sol, ell=ell2, objective=objective2)
     sigma = ONE / min(ell2.values())
     return floored, sigma
 

@@ -45,18 +45,12 @@ class MetricInstance:
             if any(w <= 0 for w in self.weights):
                 raise InputError("node weights must be positive")
 
-    def dist(self, u, v):
-        return self.d[u][v]
-
     def path_cost(self, nodes):
         """Total distance along a node sequence."""
         return sum((self.d[u][v] for u, v in zip(nodes, nodes[1:])), Fraction(0))
 
     def weight(self, v):
         return self.weights[v] if self.weights is not None else Fraction(1)
-
-    def nodes(self):
-        return range(self.n)
 
     def arcs(self):
         for u in range(self.n):
@@ -234,7 +228,15 @@ def instance_to_json(inst):
     return json.dumps(doc, indent=1)
 
 
+_VIOLATION_TEXT = {
+    "negative": "d[{0}][{1}] < 0",
+    "diagonal": "d[{0}][{0}] != 0",
+    "triangle": "d[{0}][{2}] > d[{0}][{1}] + d[{1}][{2}]",
+}
+
+
 def instance_from_json(text):
+    """Parse an instance; raises InputError unless it is a valid metric."""
     doc = json.loads(text)
     try:
         n = doc["n"]
@@ -242,9 +244,14 @@ def instance_from_json(text):
         weights = None
         if doc.get("weights") is not None:
             weights = tuple(as_fraction(w) for w in doc["weights"])
-        return MetricInstance(n=n, s=doc["s"], t=doc["t"], d=d, weights=weights)
+        inst = MetricInstance(n=n, s=doc["s"], t=doc["t"], d=d, weights=weights)
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed instance JSON: {exc}") from exc
+    bad = validate(inst).violations
+    if bad:
+        shown = "; ".join(_VIOLATION_TEXT[kind].format(*nodes) for kind, *nodes in bad[:3])
+        raise InputError(f"distances are not a metric ({len(bad)} violations): {shown}")
+    return inst
 
 
 def load_instance(path):

@@ -126,7 +126,7 @@ def test_criterion_4_cover_cost_bounds():
         members = [v for v in range(1, n - 1) if rng.random() < 0.7]
         W = {0, n - 1, *members}
         value_full, _ = lp.solve_lp_alpha(inst, 1)
-        pc = cover.min_path_cycle_cover(inst, W)
+        pc = cover.min_k_path_cycle_cover(inst, W, 1)
         assert pc.cost <= value_full
         for k in (2, 3):
             value_k, _ = lp.solve_lp_alpha(inst, F(1, k))

@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from asympath import metric
 from asympath.cli import GAP_REPORT_COLUMNS, gap_report_rows, main
 
@@ -102,4 +104,36 @@ def test_lp_bound_dump_model(tmp_path, capsys):
     doc = json.loads(dump.read_text())
     assert "minimize" in doc and "constraints" in doc
     assert any(name.startswith("x[") for name in doc["minimize"])
+
+    # --latency dumps the reduced program the solver starts from
+    main(["gen", "--random", "5", "--seed", "8", "--out", str(inst_file)])
+    assert main(["lp-bound", "--latency", "--in", str(inst_file),
+                 "--dump-model", str(dump)]) == 0
+    doc = json.loads(dump.read_text())
+    names = set(doc["minimize"]).union(*(row["coeffs"] for row in doc["constraints"]))
+    assert (len(doc["constraints"]), len(names)) == (40, 47)
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("d", [
+    [[0, -1, 2], [1, 0, 1], [2, 1, 0]],
+    [[1, 1, 2], [1, 0, 1], [2, 1, 0]],
+    [[0, 1, 100, 1], [1, 0, 1, 100], [100, 1, 0, 1], [1, 100, 1, 0]],
+])
+def test_non_metric_input_exits_one(tmp_path, capsys, d):
+    inst_file = tmp_path / "bad.json"
+    inst_file.write_text(json.dumps({"n": len(d), "s": 0, "t": len(d) - 1, "d": d}))
+    assert main(["atspp", "--in", str(inst_file)]) == 1
+    captured = capsys.readouterr()
+    assert "not a metric" in captured.err
+    assert "path:" not in captured.out
+
+
+def test_unweighted_latency_on_weighted_file(tmp_path, capsys):
+    inst = metric.gen_random(5, seed=4, max_weight=12)
+    inst_file = tmp_path / "weighted.json"
+    metric.save_instance(metric.MetricInstance(5, 0, 4, inst.d, weights=(1, 2, 3, 4, 5)),
+                         inst_file)
+    assert main(["latency", "--in", str(inst_file)]) == 0
+    assert main(["latency", "--weighted", "--in", str(inst_file)]) == 0
+    assert "total latency:" in capsys.readouterr().out

@@ -60,36 +60,36 @@ def brute_min_cover(inst, W):
 class TestPathCycleCover:
     def test_two_node_set(self):
         inst = metric.gen_random(5, seed=1, max_weight=20)
-        pc = cover.min_path_cycle_cover(inst, {0, 4})
-        assert pc.path == [0, 4]
+        pc = cover.min_k_path_cycle_cover(inst, {0, 4}, 1)
+        assert pc.paths[0] == [0, 4]
         assert pc.cycles == []
         assert pc.cost == inst.d[0][4]
 
     def test_unit_metric_cost(self):
         inst = unit_metric(6)
         for W in ({0, 1, 5}, {0, 2, 3, 5}, set(range(6))):
-            pc = cover.min_path_cycle_cover(inst, W)
+            pc = cover.min_k_path_cycle_cover(inst, W, 1)
             assert pc.cost == len(W) - 1
 
     def test_cover_partitions_node_set(self):
         inst = metric.gen_random(7, seed=3, max_weight=30)
-        pc = cover.min_path_cycle_cover(inst, range(7))
-        seen = list(pc.path) + [v for c in pc.cycles for v in c]
+        pc = cover.min_k_path_cycle_cover(inst, range(7), 1)
+        seen = list(pc.paths[0]) + [v for c in pc.cycles for v in c]
         assert sorted(seen) == list(range(7))
-        assert pc.path[0] == 0 and pc.path[-1] == 6
+        assert pc.paths[0][0] == 0 and pc.paths[0][-1] == 6
         for cyc in pc.cycles:
             assert len(cyc) >= 2
 
     def test_matches_direct_enumeration(self):
         for seed in range(6):
             inst = metric.gen_random(5, seed=40 + seed, max_weight=25)
-            pc = cover.min_path_cycle_cover(inst, range(5))
+            pc = cover.min_k_path_cycle_cover(inst, range(5), 1)
             assert pc.cost == brute_min_cover(inst, range(5))
 
     def test_argument_errors(self):
         inst = metric.gen_random(5, seed=1, max_weight=10)
         with pytest.raises(InputError):
-            cover.min_path_cycle_cover(inst, {0, 1})  # missing t
+            cover.min_k_path_cycle_cover(inst, {0, 1}, 1)  # missing t
         with pytest.raises(InputError):
             cover.min_k_path_cycle_cover(inst, range(5), 0)
 
@@ -99,17 +99,11 @@ class TestPathCycleCover:
             inst = metric.gen_random(7, seed=70 + seed, max_weight=40)
             value, _ = lp.solve_lp_alpha(inst, 1)
             W = {0, 6} | {v for v in range(1, 6) if rng.random() < 0.6}
-            pc = cover.min_path_cycle_cover(inst, W)
+            pc = cover.min_k_path_cycle_cover(inst, W, 1)
             assert pc.cost <= value
 
 
 class TestKPathCycleCover:
-    def test_k1_matches_single(self):
-        inst = metric.gen_random(6, seed=9, max_weight=30)
-        single = cover.min_path_cycle_cover(inst, range(6))
-        multi = cover.min_k_path_cycle_cover(inst, range(6), 1)
-        assert multi.cost == single.cost
-
     def test_trivial_paths_duplicate(self):
         inst = metric.gen_random(4, seed=2, max_weight=15)
         kc = cover.min_k_path_cycle_cover(inst, {0, 3}, 3)
@@ -148,7 +142,7 @@ class TestStrengthen:
             rounded, cert = cover.strengthen_fractional_cover(x, F(2, 3), inst, range(6))
             assert cert["output_cost"] <= 9 * cert["input_cost"]
             # matching optimum never beats a fractional unit cover
-            pc = cover.min_path_cycle_cover(inst, range(6))
+            pc = cover.min_k_path_cycle_cover(inst, range(6), 1)
             assert pc.cost <= cert["output_cost"]
 
     def test_higher_requirement_tighter_factor(self):

@@ -104,6 +104,15 @@ class TestSolveLatency:
         assert order.total >= best
         assert order.total == total_latency(inst, order.order, inst.weights)
 
+    def test_unweighted_run_ignores_instance_weights(self):
+        base = metric.gen_random(5, seed=12, max_weight=12)
+        inst = metric.MetricInstance(
+            5, 0, 4, base.d, weights=(F(1), F(4), F(1, 2), F(3), F(2)))
+        order, _ = latency.solve_latency(inst)
+        plain, _ = latency.solve_latency(base)
+        assert order == plain
+        assert order.total == sum(order.latencies.values())
+
     def test_zero_distance_rejected(self):
         d = (
             (F(0), F(0), F(1)),

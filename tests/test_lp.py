@@ -3,9 +3,10 @@ from fractions import Fraction
 import pytest
 
 from asympath import lp, metric, oracle
-from asympath.errors import DegenerateLatencyError, InputError
+from asympath.errors import DegenerateLatencyError, InputError, InvariantError
 from asympath.graphs import ArcFlow
-from asympath.simplex import simplex_solve
+from asympath.simplex import LpModel, SimplexSolver, simplex_solve
+from latency_reference import build_full_latency_lp, solve_latency_lp_reference
 
 F = Fraction
 
@@ -56,10 +57,38 @@ class TestCutRelaxation:
         assert v_half <= v_two_thirds <= v_one
 
 
+class TestCuttingPlanes:
+    @staticmethod
+    def solver():
+        model = LpModel()
+        x = model.add_var("x", obj=1)
+        model.add_ge({x: 1}, 1)
+        return SimplexSolver(model), x
+
+    def test_rows_until_none_violated(self):
+        solver, x = self.solver()
+        cuts = iter([[("a", {x: 1}, 2), ("b", {x: 2}, 5)], [("c", {x: 1}, 3)], []])
+        sol, rounds = lp._cutting_planes(solver, lambda sol: next(cuts), 1, "toy LP")
+        assert (sol.objective, rounds) == (3, 3)
+
+    def test_repeated_key_raises(self):
+        solver, x = self.solver()
+        with pytest.raises(InvariantError, match="violated again"):
+            lp._cutting_planes(solver, lambda sol: [("same", {x: 1}, 2)], 2, "toy LP")
+
+    def test_round_cap(self):
+        solver, x = self.solver()
+        keys = iter(range(1000))
+        with pytest.raises(InvariantError, match="round cap"):
+            lp._cutting_planes(solver, lambda sol: [(next(keys), {x: 1}, 1)], 2, "toy LP")
+        # the cap is 10 n^2 separation rounds, each adding one row
+        assert next(keys) == 40
+
+
 class TestLatencyModel:
     def test_two_node_model_optimum(self):
         inst = metric.gen_random(2, seed=5, max_weight=12)
-        model = lp.build_latency_lp(inst)
+        model = build_full_latency_lp(inst)
         names = set(model.names)
         assert "l[1]" in names and "x[0,1]" in names and "f[1][0,1]" in names
         assert not any(name.startswith("x3") for name in names)
@@ -69,13 +98,13 @@ class TestLatencyModel:
 
     def test_three_node_triple_count(self):
         inst = metric.gen_random(3, seed=2, max_weight=9)
-        model = lp.build_latency_lp(inst)
+        model = build_full_latency_lp(inst)
         triples = [name for name in model.names if name.startswith("x3[")]
         assert len(triples) == 6
 
     def test_full_model_feasible_bounded(self):
         inst = metric.gen_random(5, seed=8, max_weight=15)
-        sol = simplex_solve(lp.build_latency_lp(inst))
+        sol = simplex_solve(build_full_latency_lp(inst))
         assert sol.status == "optimal"
         assert sol.objective > 0
 
@@ -84,20 +113,10 @@ class TestLatencyModel:
         assert sol.objective <= 3
         assert sol.objective == oracle.exact_latency(unit_metric(3)).value
 
-    def test_flow_domination_rows_optional(self):
-        inst = metric.gen_random(3, seed=8, max_weight=9)
-        plain = lp.build_latency_lp(inst)
-        dominated = lp.build_latency_lp(inst, include_flow_domination=True)
-        assert len(dominated.constraints) > len(plain.constraints)
-        sol = simplex_solve(dominated)
-        assert sol.status == "optimal"
-        # extra rows can only raise the optimum
-        assert sol.objective >= simplex_solve(plain).objective
-
     def test_reduced_matches_full_reference(self):
         for n, seed in [(3, 4), (4, 6), (4, 13)]:
             inst = metric.gen_random(n, seed=seed, max_weight=12)
-            ref = lp._solve_latency_lp_reference(inst)
+            ref = solve_latency_lp_reference(inst)
             fast = lp.solve_latency_lp(inst)
             assert fast.objective == ref.objective
 
