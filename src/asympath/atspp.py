@@ -25,7 +25,7 @@ from .graphs import (
     shortcut,
     topological_order,
 )
-from .rational import ceil_log2_int, rational_to_json
+from .rational import ceil_log2_int, to_json
 
 ZERO = Fraction(0)
 
@@ -52,25 +52,16 @@ class CoverLoopState(CheckLog):
     def arc_multiset(self):
         return Counter((u, v) for p in self.F for u, v in zip(p, p[1:]))
 
-    def trace_jsonable(self):
-        return [
-            {
-                **entry,
-                "cover_cost": rational_to_json(entry["cover_cost"]),
-            }
-            for entry in self.trace
-        ]
-
     def to_jsonable(self):
-        return {
+        return to_json({
             "iteration": self.iteration,
             "W": sorted(self.W),
             "labels": {v: l for v, l in enumerate(self.labels) if l},
             "paths": self.F,
             "contracted_arcs": [[u, v, c] for (u, v), c in sorted(self.H.items()) if c],
-            "iterations": self.trace_jsonable(),
+            "iterations": self.trace,
             "checks": self.checks,
-        }
+        })
 
 
 @dataclass

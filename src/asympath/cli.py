@@ -17,11 +17,11 @@ from . import atspp as atspp_mod
 from . import latency as latency_mod
 from . import lp, metric, oracle
 from .errors import InputError, InvariantError, SizeLimitError, SolverError
-from .rational import as_fraction, format_rational, rational_to_json
+from .rational import as_fraction, format_rational, rational_to_json, to_json
 
 
 def _write_output(doc, path):
-    text = json.dumps(doc, indent=1)
+    text = json.dumps(to_json(doc), indent=1)
     if path:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -54,9 +54,9 @@ def cmd_atspp(args):
     hp, state = atspp_mod.solve_atspp(inst, iterations=args.iters)
     print("path:", " ".join(map(str, hp.nodes)))
     print("cost:", format_rational(hp.cost))
-    doc = {"path": hp.nodes, "cost": rational_to_json(hp.cost)}
+    doc = {"path": hp.nodes, "cost": hp.cost}
     if args.trace:
-        doc["trace"] = {"iterations": state.trace_jsonable(), "checks": state.checks}
+        doc["trace"] = {"iterations": state.trace, "checks": state.checks}
     if args.out:
         _write_output(doc, args.out)
     return 0
@@ -68,9 +68,9 @@ def cmd_kperson(args):
     for p in paths:
         print("path:", " ".join(map(str, p)))
     print("total:", format_rational(total))
-    doc = {"paths": paths, "total": rational_to_json(total)}
+    doc = {"paths": paths, "total": total}
     if args.trace:
-        doc["trace"] = {"iterations": state.trace_jsonable(), "checks": state.checks}
+        doc["trace"] = {"iterations": state.trace, "checks": state.checks}
     if args.out:
         _write_output(doc, args.out)
     return 0
@@ -84,7 +84,7 @@ def cmd_multipath(args):
         print("path:", " ".join(map(str, p)))
     print("total:", format_rational(total))
     if args.out:
-        _write_output({"paths": paths, "total": rational_to_json(total)}, args.out)
+        _write_output({"paths": paths, "total": total}, args.out)
     return 0
 
 
@@ -95,8 +95,8 @@ def cmd_latency(args):
     print("total latency:", format_rational(order.total))
     doc = {
         "order": order.order,
-        "total": rational_to_json(order.total),
-        "latencies": {str(v): rational_to_json(x) for v, x in sorted(order.latencies.items())},
+        "total": order.total,
+        "latencies": {str(v): x for v, x in sorted(order.latencies.items())},
     }
     if args.trace:
         doc["trace"] = state.to_jsonable()
@@ -115,8 +115,7 @@ def cmd_lp_bound(args):
             _write_output(model.to_jsonable(), args.dump_model)
         value, flow = lp.solve_lp_alpha(inst, as_fraction(args.alpha))
         print(format_rational(value))
-        doc = {"alpha": args.alpha, "value": rational_to_json(value),
-               "flow": flow.to_jsonable()}
+        doc = {"alpha": args.alpha, "value": value, "flow": flow.to_jsonable()}
     else:
         if args.dump_model:
             model = lp.build_latency_lp(inst, weighted=args.weighted)
@@ -133,13 +132,13 @@ def cmd_oracle(args):
     inst = _load(args)
     if args.problem == "atspp":
         res = oracle.exact_atspp(inst)
-        doc = {"value": rational_to_json(res.value), "order": res.order}
+        doc = {"value": res.value, "order": res.order}
     elif args.problem == "latency":
         res = oracle.exact_latency(inst)
-        doc = {"value": rational_to_json(res.value), "order": res.order}
+        doc = {"value": res.value, "order": res.order}
     else:
         res = oracle.exact_k_person(inst, args.k)
-        doc = {"value": rational_to_json(res.value), "paths": res.order}
+        doc = {"value": res.value, "paths": res.order}
     print(format_rational(res.value))
     if args.out:
         _write_output(doc, args.out)
@@ -283,8 +282,8 @@ def main(argv=None):
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
         state = getattr(exc, "state", None)
-        if state is not None and hasattr(state, "to_jsonable"):
-            json.dump(state.to_jsonable(), sys.stderr, indent=1)
+        if hasattr(state, "to_jsonable"):
+            json.dump(to_json(state.to_jsonable()), sys.stderr, indent=1)
             print(file=sys.stderr)
         return 2
     except (InputError, SizeLimitError, OSError, ValueError) as exc:

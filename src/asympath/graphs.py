@@ -1,8 +1,10 @@
 """Exact combinatorial primitives used throughout the solvers.
 
-All arithmetic is over Fraction; there are no epsilon comparisons in this
-module.  Functions are pure and deterministic: ties break toward lower
-node indices everywhere.
+All values are exact: flows and capacities are Fractions, and the
+assignment solver runs on its costs scaled to ints over one common
+denominator.  There are no epsilon comparisons in this module.
+Functions are pure and deterministic: ties break toward lower node
+indices everywhere.
 """
 
 from collections import Counter, deque
@@ -10,6 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import AcyclicityError, ContractError, InfeasibleError, InputError, InvariantError
+from .rational import common_denominator, to_json
 
 ZERO = Fraction(0)
 
@@ -105,9 +108,7 @@ class ArcFlow:
         return sum((amt * inst.d[u][v] for (u, v), amt in self._m.items()), ZERO)
 
     def to_jsonable(self):
-        from .rational import rational_to_json
-
-        return [[u, v, rational_to_json(amt)] for (u, v), amt in sorted(self._m.items())]
+        return to_json([[u, v, amt] for (u, v), amt in sorted(self._m.items())])
 
     def __repr__(self):
         inner = ", ".join(f"({u},{v}):{amt}" for (u, v), amt in sorted(self._m.items()))
@@ -144,17 +145,23 @@ def min_cost_perfect_matching(cost):
     when the cell is forbidden.  Returns (matching, total) where
     matching[i] is the column assigned to row i.
 
-    Shortest augmenting paths with potentials; O(m^3) exact arithmetic.
+    Shortest augmenting paths with potentials, O(m^3).  The costs are
+    scaled once by the lcm L of their denominators, so costs, potentials
+    and reduced costs are all ints; scaling by L > 0 keeps every
+    comparison, hence the matching, and the total is Fraction(sum, L).
     """
     m = len(cost)
     if any(len(row) != m for row in cost):
         raise InputError("cost matrix must be square")
     if m == 0:
         return [], ZERO
+    L = common_denominator(c for row in cost for c in row if c is not None)
+    cost = [[None if c is None else c.numerator * (L // c.denominator) for c in row]
+            for row in cost]
 
     # 1-based with a virtual column 0, as in the classic formulation
-    pot_u = [ZERO] * (m + 1)
-    pot_v = [ZERO] * (m + 1)
+    pot_u = [0] * (m + 1)
+    pot_v = [0] * (m + 1)
     match_of_col = [0] * (m + 1)  # row matched to each column, 0 = free
     way = [0] * (m + 1)
 
@@ -169,17 +176,19 @@ def min_cost_perfect_matching(cost):
             delta = None
             j1 = -1
             row = cost[i0 - 1]
+            pu = pot_u[i0]
             for j in range(1, m + 1):
                 if used[j]:
                     continue
+                mj = minv[j]
                 c = row[j - 1]
                 if c is not None:
-                    cur = c - pot_u[i0] - pot_v[j]
-                    if minv[j] is None or cur < minv[j]:
-                        minv[j] = cur
+                    cur = c - pu - pot_v[j]
+                    if mj is None or cur < mj:
+                        minv[j] = mj = cur
                         way[j] = j0
-                if minv[j] is not None and (delta is None or minv[j] < delta):
-                    delta = minv[j]
+                if mj is not None and (delta is None or mj < delta):
+                    delta = mj
                     j1 = j
             if delta is None:
                 raise InfeasibleError("no perfect matching avoids the forbidden cells")
@@ -200,8 +209,7 @@ def min_cost_perfect_matching(cost):
     matching = [0] * m
     for j in range(1, m + 1):
         matching[match_of_col[j] - 1] = j - 1
-    total = sum((cost[i][matching[i]] for i in range(m)), ZERO)
-    return matching, total
+    return matching, Fraction(sum(cost[i][matching[i]] for i in range(m)), L)
 
 
 def max_flow_min_cut(capacities, source, sink, nodes=None):

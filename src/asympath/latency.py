@@ -17,7 +17,7 @@ from .errors import CheckLog, DegenerateLatencyError, InputError, InvariantError
 from .graphs import shortcut
 from .lp import normalize_latencies, solve_latency_lp
 from .metric import induced_subinstance
-from .rational import ceil_log2_int, floor_log2, rational_to_json
+from .rational import ceil_log2_int, floor_log2, to_json
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -48,18 +48,14 @@ class BucketState(CheckLog):
     run_name = "latency run"
 
     def to_jsonable(self):
-        return {
-            "sigma": rational_to_json(self.sigma),
+        return to_json({
+            "sigma": self.sigma,
             "g": self.g,
-            "initial_buckets": {str(i): sorted(v) for i, v in self.initial_buckets.items()},
-            "steps": [
-                {k: (rational_to_json(v) if isinstance(v, Fraction) else v)
-                 for k, v in step.items()}
-                for step in self.steps
-            ],
+            "initial_buckets": {str(i): v for i, v in self.initial_buckets.items()},
+            "steps": self.steps,
             "shrink": self.shrink,
             "checks": self.checks,
-        }
+        })
 
 
 def append(route, path, inst):

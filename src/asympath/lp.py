@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import DegenerateLatencyError, InputError, InvariantError
 from .graphs import ArcFlow, max_flow_min_cut
-from .rational import rational_to_json
+from .rational import to_json
 from .simplex import OPTIMAL, LpModel, SimplexSolver
 
 ZERO = Fraction(0)
@@ -269,16 +269,12 @@ class LatencyLpSolution:
         return bad
 
     def to_jsonable(self):
-        return {
-            "objective": rational_to_json(self.objective),
-            "ell": {str(v): rational_to_json(val) for v, val in sorted(self.ell.items())},
-            "x": {
-                f"{u},{w}": rational_to_json(val)
-                for (u, w), val in sorted(self.x.items())
-                if val
-            },
+        return to_json({
+            "objective": self.objective,
+            "ell": {str(v): val for v, val in sorted(self.ell.items())},
+            "x": {f"{u},{w}": val for (u, w), val in sorted(self.x.items()) if val},
             "rounds": self.rounds,
-        }
+        })
 
 
 def build_latency_lp(inst, weighted=False):

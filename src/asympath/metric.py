@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InfeasibleError, InputError
-from .rational import as_fraction, rational_to_json
+from .rational import as_fraction, common_denominator, to_json
 
 
 @dataclass(frozen=True)
@@ -101,22 +101,26 @@ def metric_closure(n, arcs, s, t, weights=None):
     """Shortest-path metric of a weighted digraph given as {(u,v): cost}.
 
     Every ordered pair must be connected; an unreachable pair raises
-    InfeasibleError naming the pair.
+    InfeasibleError naming the pair.  Floyd-Warshall runs on the arc
+    costs scaled to ints by the lcm L of their denominators, and the
+    distances come back as Fraction(dist, L).
     """
     if n < 2:
         raise InputError("metric_closure needs n >= 2")
-    inf = None
-    dist = [[inf] * n for _ in range(n)]
-    for u in range(n):
-        dist[u][u] = Fraction(0)
+    exact = {}
     for (u, v), w in arcs.items():
         if u == v:
             continue
         w = as_fraction(w)
         if w < 0:
             raise InputError(f"negative arc weight on ({u}, {v})")
-        if dist[u][v] is None or w < dist[u][v]:
-            dist[u][v] = w
+        exact[(u, v)] = w
+    L = common_denominator(exact.values())
+    dist = [[None] * n for _ in range(n)]  # None = no path found yet
+    for u in range(n):
+        dist[u][u] = 0
+    for (u, v), w in exact.items():
+        dist[u][v] = w.numerator * (L // w.denominator)
     for k in range(n):
         dk = dist[k]
         for u in range(n):
@@ -125,10 +129,12 @@ def metric_closure(n, arcs, s, t, weights=None):
                 continue
             du = dist[u]
             for v in range(n):
-                if dk[v] is None:
+                dkv = dk[v]
+                if dkv is None:
                     continue
-                alt = duk + dk[v]
-                if du[v] is None or alt < du[v]:
+                alt = duk + dkv
+                duv = du[v]
+                if duv is None or alt < duv:
                     du[v] = alt
     for u in range(n):
         for v in range(n):
@@ -138,7 +144,7 @@ def metric_closure(n, arcs, s, t, weights=None):
         n=n,
         s=s,
         t=t,
-        d=tuple(tuple(row) for row in dist),
+        d=tuple(tuple(Fraction(x, L) for x in row) for row in dist),
         weights=tuple(as_fraction(w) for w in weights) if weights else None,
     )
 
@@ -217,15 +223,10 @@ def induced_subinstance(inst, W, s2, t2):
 
 def instance_to_json(inst):
     """Serialize to the package's JSON schema (rationals as int or "p/q")."""
-    doc = {
-        "n": inst.n,
-        "s": inst.s,
-        "t": inst.t,
-        "d": [[rational_to_json(x) for x in row] for row in inst.d],
-    }
+    doc = {"n": inst.n, "s": inst.s, "t": inst.t, "d": inst.d}
     if inst.weights is not None:
-        doc["weights"] = [rational_to_json(w) for w in inst.weights]
-    return json.dumps(doc, indent=1)
+        doc["weights"] = inst.weights
+    return json.dumps(to_json(doc), indent=1)
 
 
 _VIOLATION_TEXT = {

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeLimitError
+from .rational import as_fraction, common_denominator
 
 ZERO = Fraction(0)
 
@@ -24,59 +25,70 @@ class ExactResult:
     order: list
 
 
-def exact_atspp(inst):
-    """Cheapest Hamiltonian s-t path by subset dynamic programming."""
-    if inst.n > ATSPP_CAP:
-        raise SizeLimitError(f"exact_atspp capped at n <= {ATSPP_CAP}")
-    s, t, d = inst.s, inst.t, inst.d
-    interior = [v for v in range(inst.n) if v not in (s, t)]
-    m = len(interior)
-    if m == 0:
-        return ExactResult(value=d[s][t], order=[s, t])
+def _scaled(inst):
+    """inst.d as ints over the lcm L of its denominators, and L."""
+    L = common_denominator(x for row in inst.d for x in row)
+    return [[x.numerator * (L // x.denominator) for x in row] for row in inst.d], L
 
-    # dp[(mask, i)] = cheapest s -> interior[i] route visiting exactly mask
-    dp = {}
-    parent = {}
+
+def _subset_dp(d, s, t, interior, mult):
+    """Cheapest Hamiltonian s-t path over int distances d, where an arc
+    taken after visiting the interior subset mask costs d * mult[mask].
+
+    Returns (value, order).  dp[mask][i] is the cheapest s -> interior[i]
+    route visiting exactly mask; masks, then i, then j are scanned in
+    ascending order and only a strictly cheaper route replaces a stored
+    one, so ties keep the first route found.
+    """
+    m = len(interior)
+    full = (1 << m) - 1
+    if m == 0:
+        return d[s][t] * mult[0], [s, t]
+    rows = [[d[u][v] for v in interior] for u in interior]
+    dp = [[None] * m for _ in range(full + 1)]
+    parent = [[None] * m for _ in range(full + 1)]
     for i, v in enumerate(interior):
-        dp[(1 << i, i)] = d[s][v]
-    for mask in range(1, 1 << m):
-        for i in range(m):
-            if not mask >> i & 1:
-                continue
-            cur = dp.get((mask, i))
+        dp[1 << i][i] = d[s][v] * mult[0]
+    for mask in range(1, full):
+        p = mult[mask]
+        free = [j for j in range(m) if not mask >> j & 1]
+        for i, cur in enumerate(dp[mask]):
             if cur is None:
                 continue
-            vi = interior[i]
-            row = d[vi]
-            for j in range(m):
-                if mask >> j & 1:
-                    continue
+            row = rows[i]
+            for j in free:
                 nmask = mask | 1 << j
-                cand = cur + row[interior[j]]
-                key = (nmask, j)
-                if key not in dp or cand < dp[key]:
-                    dp[key] = cand
-                    parent[key] = i
-    full = (1 << m) - 1
+                cand = cur + row[j] * p
+                old = dp[nmask][j]
+                if old is None or cand < old:
+                    dp[nmask][j] = cand
+                    parent[nmask][j] = i
     best = None
     best_i = None
     for i in range(m):
-        cand = dp[(full, i)] + d[interior[i]][t]
+        cand = dp[full][i] + d[interior[i]][t] * mult[full]
         if best is None or cand < best:
             best = cand
             best_i = i
     order = [t]
     mask, i = full, best_i
-    while True:
+    while i is not None:
         order.append(interior[i])
-        prev = parent.get((mask, i))
-        if prev is None:
-            break
-        mask ^= 1 << i
-        i = prev
+        mask, i = mask ^ 1 << i, parent[mask][i]
     order.append(s)
     order.reverse()
-    return ExactResult(value=best, order=order)
+    return best, order
+
+
+def exact_atspp(inst):
+    """Cheapest Hamiltonian s-t path by subset dynamic programming."""
+    if inst.n > ATSPP_CAP:
+        raise SizeLimitError(f"exact_atspp capped at n <= {ATSPP_CAP}")
+    s, t = inst.s, inst.t
+    interior = [v for v in range(inst.n) if v not in (s, t)]
+    d, L = _scaled(inst)
+    value, order = _subset_dp(d, s, t, interior, [1] * (1 << len(interior)))
+    return ExactResult(value=Fraction(value, L), order=order)
 
 
 def exact_latency(inst, weights=None):
@@ -88,69 +100,20 @@ def exact_latency(inst, weights=None):
     """
     if inst.n > LATENCY_CAP:
         raise SizeLimitError(f"exact_latency capped at n <= {LATENCY_CAP}")
-    s, t, d = inst.s, inst.t, inst.d
-
-    def w(v):
-        if weights is not None:
-            return Fraction(weights[v])
-        return inst.weight(v)
-
+    s, t = inst.s, inst.t
     interior = [v for v in range(inst.n) if v not in (s, t)]
-    m = len(interior)
-    # weight still waiting once mask is visited and we sit at some node
-    total_interior = sum((w(v) for v in interior), ZERO)
-
-    if m == 0:
-        return ExactResult(value=w(t) * d[s][t], order=[s, t])
-
-    def pending(mask):
-        acc = w(t)
-        for i in range(m):
-            if not mask >> i & 1:
-                acc += w(interior[i])
-        return acc
-
-    dp = {}
-    parent = {}
-    for i, v in enumerate(interior):
-        dp[(1 << i, i)] = d[s][v] * (total_interior + w(t))
-    for mask in range(1, 1 << m):
-        for i in range(m):
-            if not mask >> i & 1:
-                continue
-            cur = dp.get((mask, i))
-            if cur is None:
-                continue
-            vi = interior[i]
-            for j in range(m):
-                if mask >> j & 1:
-                    continue
-                nmask = mask | 1 << j
-                cand = cur + d[vi][interior[j]] * pending(mask)
-                key = (nmask, j)
-                if key not in dp or cand < dp[key]:
-                    dp[key] = cand
-                    parent[key] = i
-    full = (1 << m) - 1
-    best = None
-    best_i = None
-    for i in range(m):
-        cand = dp[(full, i)] + d[interior[i]][t] * w(t)
-        if best is None or cand < best:
-            best = cand
-            best_i = i
-    order = [t]
-    mask, i = full, best_i
-    while True:
-        order.append(interior[i])
-        prev = parent.get((mask, i))
-        if prev is None:
-            break
-        mask ^= 1 << i
-        i = prev
-    order.append(s)
-    order.reverse()
-    return ExactResult(value=best, order=order)
+    w = [as_fraction(weights[v]) if weights is not None else inst.weight(v)
+         for v in range(inst.n)]
+    W = common_denominator(w)
+    w = [x.numerator * (W // x.denominator) for x in w]
+    # pending[mask]: weight still waiting once the interior subset mask is visited
+    pending = [w[t] + sum(w[v] for v in interior)]
+    for mask in range(1, 1 << len(interior)):
+        low = mask & -mask
+        pending.append(pending[mask ^ low] - w[interior[low.bit_length() - 1]])
+    d, L = _scaled(inst)
+    value, order = _subset_dp(d, s, t, interior, pending)
+    return ExactResult(value=Fraction(value, L * W), order=order)
 
 
 def exact_k_person(inst, k):

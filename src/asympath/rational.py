@@ -5,6 +5,7 @@ rejected everywhere so no inexact value can sneak into a computation.
 """
 
 from fractions import Fraction
+from math import lcm
 
 
 def as_fraction(value):
@@ -24,6 +25,29 @@ def rational_to_json(value):
     if f.denominator == 1:
         return int(f)
     return f"{f.numerator}/{f.denominator}"
+
+
+def to_json(obj):
+    """Copy of obj with every Fraction inside dicts, lists, tuples and sets
+    rendered by rational_to_json; sets become sorted lists."""
+    if isinstance(obj, Fraction):
+        return rational_to_json(obj)
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_json(v) for v in obj]
+    if isinstance(obj, (set, frozenset)):
+        return [to_json(v) for v in sorted(obj)]
+    return obj
+
+
+def common_denominator(values):
+    """Least common multiple of the denominators of exact values.
+
+    Multiplying each value x by it gives the integer
+    x.numerator * (L // x.denominator); a float raises TypeError.
+    """
+    return lcm(1, *(as_fraction(x).denominator for x in values))
 
 
 def format_rational(value):

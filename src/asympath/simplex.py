@@ -30,7 +30,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError, SolverError
-from .rational import rational_to_json
+from .rational import to_json
 
 ZERO = Fraction(0)
 
@@ -88,17 +88,17 @@ class LpModel:
         self.constraints.append(("=", self._check_coeffs(coeffs), Fraction(rhs)))
 
     def to_jsonable(self):
-        return {
-            "minimize": {n: rational_to_json(c) for n, c in zip(self.names, self.obj) if c},
+        return to_json({
+            "minimize": {n: c for n, c in zip(self.names, self.obj) if c},
             "constraints": [
                 {
                     "sense": sense,
-                    "coeffs": {self.names[j]: rational_to_json(c) for j, c in sorted(coeffs.items())},
-                    "rhs": rational_to_json(rhs),
+                    "coeffs": {self.names[j]: c for j, c in sorted(coeffs.items())},
+                    "rhs": rhs,
                 }
                 for sense, coeffs, rhs in self.constraints
             ],
-        }
+        })
 
 
 @dataclass
@@ -110,9 +110,9 @@ class LpSolution:
     def to_jsonable(self):
         doc = {"status": self.status}
         if self.status == OPTIMAL:
-            doc["objective"] = rational_to_json(self.objective)
-            doc["values"] = {n: rational_to_json(v) for n, v in self.values.items() if v}
-        return doc
+            doc["objective"] = self.objective
+            doc["values"] = {n: v for n, v in self.values.items() if v}
+        return to_json(doc)
 
 
 class SimplexSolver:

@@ -1,0 +1,259 @@
+"""Exact-Fraction versions of the integer-scaled kernels, kept as test oracles.
+
+graphs.min_cost_perfect_matching, metric.metric_closure and the subset
+DPs behind oracle.exact_atspp / oracle.exact_latency scale their inputs to
+ints over one common denominator.  The functions below are the earlier
+versions that do every step over Fraction; tests pin the scaled kernels
+to the same values, matchings and orders.
+"""
+
+from fractions import Fraction
+
+from asympath.errors import InfeasibleError, InputError, SizeLimitError
+from asympath.metric import MetricInstance
+from asympath.oracle import ATSPP_CAP, LATENCY_CAP, ExactResult
+from asympath.rational import as_fraction
+
+ZERO = Fraction(0)
+
+
+def min_cost_perfect_matching(cost):
+    """Minimum-cost perfect matching of a square rational matrix.
+
+    cost[i][j] is the exact cost of pairing row i with column j, or None
+    when the cell is forbidden.  Returns (matching, total) where
+    matching[i] is the column assigned to row i.
+
+    Shortest augmenting paths with potentials; O(m^3) exact arithmetic.
+    """
+    m = len(cost)
+    if any(len(row) != m for row in cost):
+        raise InputError("cost matrix must be square")
+    if m == 0:
+        return [], ZERO
+
+    # 1-based with a virtual column 0, as in the classic formulation
+    pot_u = [ZERO] * (m + 1)
+    pot_v = [ZERO] * (m + 1)
+    match_of_col = [0] * (m + 1)  # row matched to each column, 0 = free
+    way = [0] * (m + 1)
+
+    for i in range(1, m + 1):
+        match_of_col[0] = i
+        j0 = 0
+        minv = [None] * (m + 1)  # None = unreachable
+        used = [False] * (m + 1)
+        while True:
+            used[j0] = True
+            i0 = match_of_col[j0]
+            delta = None
+            j1 = -1
+            row = cost[i0 - 1]
+            for j in range(1, m + 1):
+                if used[j]:
+                    continue
+                c = row[j - 1]
+                if c is not None:
+                    cur = c - pot_u[i0] - pot_v[j]
+                    if minv[j] is None or cur < minv[j]:
+                        minv[j] = cur
+                        way[j] = j0
+                if minv[j] is not None and (delta is None or minv[j] < delta):
+                    delta = minv[j]
+                    j1 = j
+            if delta is None:
+                raise InfeasibleError("no perfect matching avoids the forbidden cells")
+            for j in range(m + 1):
+                if used[j]:
+                    pot_u[match_of_col[j]] += delta
+                    pot_v[j] -= delta
+                elif minv[j] is not None:
+                    minv[j] -= delta
+            j0 = j1
+            if match_of_col[j0] == 0:
+                break
+        while j0:
+            j1 = way[j0]
+            match_of_col[j0] = match_of_col[j1]
+            j0 = j1
+
+    matching = [0] * m
+    for j in range(1, m + 1):
+        matching[match_of_col[j] - 1] = j - 1
+    total = sum((cost[i][matching[i]] for i in range(m)), ZERO)
+    return matching, total
+
+
+def metric_closure(n, arcs, s, t, weights=None):
+    """Shortest-path metric of a weighted digraph given as {(u,v): cost}.
+
+    Every ordered pair must be connected; an unreachable pair raises
+    InfeasibleError naming the pair.
+    """
+    if n < 2:
+        raise InputError("metric_closure needs n >= 2")
+    inf = None
+    dist = [[inf] * n for _ in range(n)]
+    for u in range(n):
+        dist[u][u] = Fraction(0)
+    for (u, v), w in arcs.items():
+        if u == v:
+            continue
+        w = as_fraction(w)
+        if w < 0:
+            raise InputError(f"negative arc weight on ({u}, {v})")
+        if dist[u][v] is None or w < dist[u][v]:
+            dist[u][v] = w
+    for k in range(n):
+        dk = dist[k]
+        for u in range(n):
+            duk = dist[u][k]
+            if duk is None:
+                continue
+            du = dist[u]
+            for v in range(n):
+                if dk[v] is None:
+                    continue
+                alt = duk + dk[v]
+                if du[v] is None or alt < du[v]:
+                    du[v] = alt
+    for u in range(n):
+        for v in range(n):
+            if dist[u][v] is None:
+                raise InfeasibleError(f"node {v} is unreachable from node {u}")
+    return MetricInstance(
+        n=n,
+        s=s,
+        t=t,
+        d=tuple(tuple(row) for row in dist),
+        weights=tuple(as_fraction(w) for w in weights) if weights else None,
+    )
+
+
+def exact_atspp(inst):
+    """Cheapest Hamiltonian s-t path by subset dynamic programming."""
+    if inst.n > ATSPP_CAP:
+        raise SizeLimitError(f"exact_atspp capped at n <= {ATSPP_CAP}")
+    s, t, d = inst.s, inst.t, inst.d
+    interior = [v for v in range(inst.n) if v not in (s, t)]
+    m = len(interior)
+    if m == 0:
+        return ExactResult(value=d[s][t], order=[s, t])
+
+    # dp[(mask, i)] = cheapest s -> interior[i] route visiting exactly mask
+    dp = {}
+    parent = {}
+    for i, v in enumerate(interior):
+        dp[(1 << i, i)] = d[s][v]
+    for mask in range(1, 1 << m):
+        for i in range(m):
+            if not mask >> i & 1:
+                continue
+            cur = dp.get((mask, i))
+            if cur is None:
+                continue
+            vi = interior[i]
+            row = d[vi]
+            for j in range(m):
+                if mask >> j & 1:
+                    continue
+                nmask = mask | 1 << j
+                cand = cur + row[interior[j]]
+                key = (nmask, j)
+                if key not in dp or cand < dp[key]:
+                    dp[key] = cand
+                    parent[key] = i
+    full = (1 << m) - 1
+    best = None
+    best_i = None
+    for i in range(m):
+        cand = dp[(full, i)] + d[interior[i]][t]
+        if best is None or cand < best:
+            best = cand
+            best_i = i
+    order = [t]
+    mask, i = full, best_i
+    while True:
+        order.append(interior[i])
+        prev = parent.get((mask, i))
+        if prev is None:
+            break
+        mask ^= 1 << i
+        i = prev
+    order.append(s)
+    order.reverse()
+    return ExactResult(value=best, order=order)
+
+
+def exact_latency(inst, weights=None):
+    """Minimum total weighted latency by subset dynamic programming.
+
+    Traversing an arc charges its length times the total weight of all
+    still-unvisited nodes, so the accumulated cost at the end equals the
+    sum of per-node weighted latencies.
+    """
+    if inst.n > LATENCY_CAP:
+        raise SizeLimitError(f"exact_latency capped at n <= {LATENCY_CAP}")
+    s, t, d = inst.s, inst.t, inst.d
+
+    def w(v):
+        if weights is not None:
+            return Fraction(weights[v])
+        return inst.weight(v)
+
+    interior = [v for v in range(inst.n) if v not in (s, t)]
+    m = len(interior)
+    # weight still waiting once mask is visited and we sit at some node
+    total_interior = sum((w(v) for v in interior), ZERO)
+
+    if m == 0:
+        return ExactResult(value=w(t) * d[s][t], order=[s, t])
+
+    def pending(mask):
+        acc = w(t)
+        for i in range(m):
+            if not mask >> i & 1:
+                acc += w(interior[i])
+        return acc
+
+    dp = {}
+    parent = {}
+    for i, v in enumerate(interior):
+        dp[(1 << i, i)] = d[s][v] * (total_interior + w(t))
+    for mask in range(1, 1 << m):
+        for i in range(m):
+            if not mask >> i & 1:
+                continue
+            cur = dp.get((mask, i))
+            if cur is None:
+                continue
+            vi = interior[i]
+            for j in range(m):
+                if mask >> j & 1:
+                    continue
+                nmask = mask | 1 << j
+                cand = cur + d[vi][interior[j]] * pending(mask)
+                key = (nmask, j)
+                if key not in dp or cand < dp[key]:
+                    dp[key] = cand
+                    parent[key] = i
+    full = (1 << m) - 1
+    best = None
+    best_i = None
+    for i in range(m):
+        cand = dp[(full, i)] + d[interior[i]][t] * w(t)
+        if best is None or cand < best:
+            best = cand
+            best_i = i
+    order = [t]
+    mask, i = full, best_i
+    while True:
+        order.append(interior[i])
+        prev = parent.get((mask, i))
+        if prev is None:
+            break
+        mask ^= 1 << i
+        i = prev
+    order.append(s)
+    order.reverse()
+    return ExactResult(value=best, order=order)

@@ -1,8 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from asympath import latency as latency_mod
 from asympath import metric
 from asympath.cli import GAP_REPORT_COLUMNS, gap_report_rows, main
 
@@ -137,3 +143,52 @@ def test_unweighted_latency_on_weighted_file(tmp_path, capsys):
     assert main(["latency", "--in", str(inst_file)]) == 0
     assert main(["latency", "--weighted", "--in", str(inst_file)]) == 0
     assert "total latency:" in capsys.readouterr().out
+
+
+def _gen_trace_instance(tmp_path):
+    # the instance whose latency trace used to crash the JSON writer
+    inst_file = tmp_path / "inst.json"
+    assert main(["gen", "--random", "7", "--seed", "3", "--max-weight", "20",
+                 "--out", str(inst_file)]) == 0
+    return inst_file
+
+
+@pytest.mark.parametrize("command", [["atspp"], ["kperson", "--k", "2"], ["latency"]])
+def test_trace_out_writes_json(tmp_path, capsys, command):
+    inst_file = _gen_trace_instance(tmp_path)
+    out_file = tmp_path / "out.json"
+    assert main([*command, "--in", str(inst_file), "--trace", "--out", str(out_file)]) == 0
+    capsys.readouterr()
+    trace = json.loads(out_file.read_text())["trace"]
+    assert trace["checks"] and all(c["pass"] for c in trace["checks"])
+    if command == ["latency"]:
+        assert any("family_hops" in step for step in trace["steps"])
+
+
+def test_latency_invariant_error_dumps_state_as_json(tmp_path, capsys, monkeypatch):
+    inst_file = _gen_trace_instance(tmp_path)
+    solve_latency = latency_mod.solve_latency
+
+    def failing(inst, weighted=False):
+        _, state = solve_latency(inst, weighted=weighted)
+        state.check("forced failure", False, Fraction(1, 3))
+
+    monkeypatch.setattr(latency_mod, "solve_latency", failing)
+    assert main(["latency", "--in", str(inst_file)]) == 2
+    head, _, body = capsys.readouterr().err.partition("\n")
+    assert head.startswith("invariant violation: latency run check failed: forced failure")
+    state = json.loads(body)
+    assert state["checks"][-1] == {"name": "forced failure", "pass": False, "witness": "1/3"}
+    assert any("family_hops" in step for step in state["steps"])
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "asympath", "gen", "--random", "4", "--seed", "1",
+         "--max-weight", "5"],
+        capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["n"] == 4
