@@ -9,6 +9,7 @@ from fractions import Fraction
 from .errors import ContractError, InputError, InvariantError
 from .graphs import ArcFlow, decompose_flow, min_cost_perfect_matching, topological_order
 from .lp import flow_alpha_violations
+from .rational import as_fraction
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -94,7 +95,7 @@ def strengthen_fractional_cover(x, alpha, inst, W):
     gamma = 1/3 + 1/(3*alpha) of it, route one unit along the surviving
     nodes in topological order, and boost the cycle part by 1/(1-gamma).
     """
-    alpha = Fraction(alpha)
+    alpha = as_fraction(alpha)
     if not Fraction(1, 2) < alpha <= 1:
         raise InputError("alpha must lie in (1/2, 1]")
     W = sorted(set(W))

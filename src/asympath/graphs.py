@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import AcyclicityError, ContractError, InfeasibleError, InputError, InvariantError
-from .rational import common_denominator, to_json
+from .rational import as_fraction, common_denominator, to_json
 
 ZERO = Fraction(0)
 
@@ -45,7 +45,7 @@ class ArcFlow:
     def add(self, u, v, amt):
         if u == v:
             raise InputError(f"self-loop ({u},{u}) not allowed in a flow")
-        amt = Fraction(amt)
+        amt = as_fraction(amt)
         new = self._m.get((u, v), ZERO) + amt
         if new < 0:
             raise InputError(f"flow on ({u},{v}) driven negative")
@@ -83,7 +83,7 @@ class ArcFlow:
         return f
 
     def scaled(self, factor):
-        factor = Fraction(factor)
+        factor = as_fraction(factor)
         if factor < 0:
             raise InputError("negative scale factor")
         f = ArcFlow()

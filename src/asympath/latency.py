@@ -17,7 +17,7 @@ from .errors import CheckLog, DegenerateLatencyError, InputError, InvariantError
 from .graphs import shortcut
 from .lp import normalize_latencies, solve_latency_lp
 from .metric import induced_subinstance
-from .rational import ceil_log2_int, floor_log2, to_json
+from .rational import as_fraction, ceil_log2_int, floor_log2, to_json
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -89,7 +89,7 @@ def total_latency(inst, order, weights=None):
 
     def w(v):
         if weights is not None:
-            return Fraction(weights[v])
+            return as_fraction(weights[v])
         return inst.weight(v)
 
     total = ZERO

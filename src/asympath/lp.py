@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .errors import DegenerateLatencyError, InputError, InvariantError
 from .graphs import ArcFlow, max_flow_min_cut
-from .rational import to_json
+from .rational import as_fraction, to_json
 from .simplex import OPTIMAL, LpModel, SimplexSolver
 
 ZERO = Fraction(0)
@@ -60,7 +60,7 @@ def build_alpha_lp(inst, alpha):
     lazily by solve_lp_alpha.  Returns (model, var_index) with var_index
     mapping each arc to its column.
     """
-    alpha = Fraction(alpha)
+    alpha = as_fraction(alpha)
     if not ZERO < alpha <= ONE:
         raise InputError("alpha must lie in (0, 1]")
     n, s, t = inst.n, inst.s, inst.t
@@ -95,7 +95,7 @@ def solve_lp_alpha(inst, alpha):
     remaining cut constraints with max-flow until none are violated.
     Returns (value, flow) where flow is an optimal fractional solution.
     """
-    alpha = Fraction(alpha)
+    alpha = as_fraction(alpha)
     n, s = inst.n, inst.s
     model, xv = build_alpha_lp(inst, alpha)
 
@@ -136,7 +136,7 @@ def flow_alpha_violations(nodes, s, t, flow, alpha):
     if isinstance(nodes, int):
         nodes = range(nodes)
     nodes = sorted(nodes)
-    alpha = Fraction(alpha)
+    alpha = as_fraction(alpha)
     violations = []
     for u in nodes:
         out = flow.out_flow(u)

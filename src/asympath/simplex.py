@@ -23,6 +23,17 @@ entries of one row is a ratio of numerators, as the denominator cancels.
 Quantities from different rows are compared by integer cross-
 multiplication with positive factors.  Every decision is therefore the one
 exact rational arithmetic makes, and so are the pivot path and the optimum.
+
+Phase 1 stores no artificial columns.  Each >= and = row gets an
+artificial basis id (nstruct + nslack + k, in row order, as if its column
+followed the slacks) but no column: a basic artificial's column is a unit
+vector, and one that leaves the basis may never re-enter, so its column is
+never read.  The phase-1 row starts as minus the sum of the artificial-
+basic rows.  Dropping those columns can change the gcd that scales a row
+during phase 1, but every decision above is invariant under a positive
+row scale, and rows are reduced to lowest terms, so the path is the same
+and the tableau after phase 1 is the same.  The phase-1 stall limit
+still counts the artificial columns, as the Bland switch depends on it.
 """
 
 from dataclasses import dataclass
@@ -30,7 +41,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 from .errors import InputError, SolverError
-from .rational import to_json
+from .rational import as_fraction, to_json
 
 ZERO = Fraction(0)
 
@@ -58,7 +69,7 @@ class LpModel:
         idx = len(self.names)
         self.names.append(name)
         self._by_name[name] = idx
-        self.obj.append(Fraction(obj))
+        self.obj.append(as_fraction(obj))
         return idx
 
     def var(self, name):
@@ -73,19 +84,19 @@ class LpModel:
         for j, c in coeffs.items():
             if not (0 <= j < len(self.names)):
                 raise InputError(f"constraint references undeclared variable {j}")
-            c = Fraction(c)
+            c = as_fraction(c)
             if c:
                 clean[j] = c
         return clean
 
     def add_le(self, coeffs, rhs):
-        self.constraints.append(("<=", self._check_coeffs(coeffs), Fraction(rhs)))
+        self.constraints.append(("<=", self._check_coeffs(coeffs), as_fraction(rhs)))
 
     def add_ge(self, coeffs, rhs):
-        self.constraints.append((">=", self._check_coeffs(coeffs), Fraction(rhs)))
+        self.constraints.append((">=", self._check_coeffs(coeffs), as_fraction(rhs)))
 
     def add_eq(self, coeffs, rhs):
-        self.constraints.append(("=", self._check_coeffs(coeffs), Fraction(rhs)))
+        self.constraints.append(("=", self._check_coeffs(coeffs), as_fraction(rhs)))
 
     def to_jsonable(self):
         return to_json({
@@ -163,7 +174,7 @@ class SimplexSolver:
             r.insert(slack_col, 0)
         self._obj.insert(slack_col, 0)
         self._ncols += 1
-        row, den = _int_row({j: -c for j, c in coeffs.items()}, -Fraction(rhs), self._ncols)
+        row, den = _int_row({j: -c for j, c in coeffs.items()}, -as_fraction(rhs), self._ncols)
         row[slack_col] = den
         # express the new row in terms of the current basis
         for i, bc in enumerate(self._basis):
@@ -254,36 +265,25 @@ class SimplexSolver:
             senses.append(sense)
 
         nslack = sum(1 for s in senses if s in ("<=", ">="))
-        nart = sum(1 for s in senses if s in (">=", "="))
-        ncols = nstruct + nslack + nart
-        slack_at = nstruct
-        art_at = nstruct + nslack
+        ncols = nstruct + nslack
 
         tableau = []
         dens = []
         basis = []
-        art_cols = []
-        si = slack_at
-        ai = art_at
+        si = nstruct
+        ai = ncols  # artificial basis ids follow the slacks; no column is stored
         for (coeffs, rhs), sense in zip(rows, senses):
             full, den = _int_row(coeffs, rhs, ncols)
             if sense == "<=":
                 full[si] = den
                 basis.append(si)
                 si += 1
-            elif sense == ">=":
-                full[si] = -den
-                si += 1
-                full[ai] = den
-                basis.append(ai)
-                art_cols.append(ai)
-                ai += 1
             else:
-                full[ai] = den
+                if sense == ">=":
+                    full[si] = -den
+                    si += 1
                 basis.append(ai)
-                art_cols.append(ai)
                 ai += 1
-            full, den = _reduced(full, den)
             tableau.append(full)
             dens.append(den)
 
@@ -292,26 +292,25 @@ class SimplexSolver:
         self._basis = basis
         self._obj, self._obj_den = _int_row(dict(enumerate(m.obj)), ZERO, ncols)
         self._ncols = ncols
-        self._art_cols = set(art_cols)
-        self._art_start = art_at
 
     # -- phases ---------------------------------------------------------
 
     def _phase1(self):
-        if not self._art_cols:
+        art_rows = [i for i, bc in enumerate(self._basis) if bc >= self._ncols]
+        if not art_rows:
             return True
+        # minus the sum of the artificial-basic rows: the phase-1 reduced costs
+        den = lcm(*(self._dens[i] for i in art_rows))
         p1 = [0] * (self._ncols + 1)
-        for j in self._art_cols:
-            p1[j] = 1
-        p1_den = 1
-        for i, bc in enumerate(self._basis):
-            if bc in self._art_cols:
-                p1, p1_den = _eliminate(p1, p1_den, _nonzeros(self._rows[i]), self._dens[i], bc)
-        self._p1, self._p1_den = p1, p1_den
+        for i in art_rows:
+            f = den // self._dens[i]
+            for j, a in _nonzeros(self._rows[i]):
+                p1[j] -= f * a
+        self._p1, self._p1_den = _reduced(p1, den)
         self._bland = False
         self._stall = 0
-        # artificials may leave the basis but never re-enter
-        if not self._optimize(phase1=True, forbid=self._art_cols):
+        # the stall limit counts the artificial columns as if they were stored
+        if not self._optimize(phase1=True, nart=len(art_rows)):
             raise SolverError("phase 1 cannot be unbounded")
         if self._p1[-1] != 0:
             return False
@@ -319,18 +318,13 @@ class SimplexSolver:
         return True
 
     def _purge_artificials(self):
-        """Pivot artificials out of the basis, drop redundant rows, then
-        cut the artificial columns off the tableau."""
+        """Pivot artificials out of the basis and drop redundant rows."""
+        self._p1 = None
         drop = []
-        for i in range(len(self._rows)):
-            if self._basis[i] not in self._art_cols:
+        for i, row in enumerate(self._rows):
+            if self._basis[i] < self._ncols:
                 continue
-            row = self._rows[i]
-            pivot_col = -1
-            for j in range(self._art_start):
-                if row[j] != 0:
-                    pivot_col = j
-                    break
+            pivot_col = next((j for j in range(self._ncols) if row[j]), -1)
             if pivot_col == -1:
                 drop.append(i)  # all-zero in real columns: redundant row
             else:
@@ -339,30 +333,23 @@ class SimplexSolver:
             del self._rows[i]
             del self._dens[i]
             del self._basis[i]
-        keep = self._art_start
-        for i, r in enumerate(self._rows):
-            self._rows[i], self._dens[i] = _reduced(r[:keep] + r[-1:], self._dens[i])
-        self._obj, self._obj_den = _reduced(self._obj[:keep] + self._obj[-1:], self._obj_den)
-        self._p1 = None
-        self._ncols = keep
-        self._art_cols = set()
 
     def _phase2(self):
         self._bland = False
         self._stall = 0
-        return self._optimize(phase1=False, forbid=None)
+        return self._optimize(phase1=False)
 
     # -- core mechanics ---------------------------------------------------
 
     def _pricing_row(self, phase1):
         return (self._p1, self._p1_den) if phase1 else (self._obj, self._obj_den)
 
-    def _optimize(self, phase1, forbid):
-        stall_limit = 60 + 2 * (len(self._rows) + self._ncols)
+    def _optimize(self, phase1, nart=0):
+        stall_limit = 60 + 2 * (len(self._rows) + self._ncols + nart)
         objrow, den = self._pricing_row(phase1)
         last_val, last_den = objrow[-1], den
         while True:
-            c = self._entering(objrow, forbid)
+            c = self._entering(objrow)
             if c == -1:
                 return True
             r = self._leaving(c)
@@ -378,18 +365,18 @@ class SimplexSolver:
                 if self._stall > stall_limit:
                     self._bland = True
 
-    def _entering(self, objrow, forbid):
+    def _entering(self, objrow):
         # one row shares one positive denominator, so numerators decide
         if self._bland:
             for j in range(self._ncols):
-                if objrow[j] < 0 and (forbid is None or j not in forbid):
+                if objrow[j] < 0:
                     return j
             return -1
         best = -1
         best_val = 0
         for j in range(self._ncols):
             v = objrow[j]
-            if v < best_val and (forbid is None or j not in forbid):
+            if v < best_val:
                 best_val = v
                 best = j
         return best
@@ -461,8 +448,9 @@ def _nonzeros(row):
 
 
 def _int_row(coeffs, rhs, ncols):
-    """Integer numerators over one common denominator for the Fraction
-    coefficients (column -> value) and rhs of a row with ncols columns."""
+    """Integer numerators over one common denominator, in lowest terms, for
+    the Fraction coefficients (column -> value) and rhs of a row with ncols
+    columns."""
     den = lcm(rhs.denominator, *(c.denominator for c in coeffs.values()))
     row = [0] * (ncols + 1)
     for j, c in coeffs.items():

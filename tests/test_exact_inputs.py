@@ -1,0 +1,81 @@
+"""Floats are rejected where values enter exact arithmetic; ints and
+"p/q" strings are taken as the exact rationals they name."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from asympath import cover, lp
+from asympath.graphs import ArcFlow
+from asympath.latency import total_latency
+from asympath.metric import gen_random
+from asympath.simplex import LpModel, SimplexSolver
+
+INST = gen_random(4, seed=1, max_weight=10)
+PATH = [INST.s] + [v for v in range(INST.n) if v not in (INST.s, INST.t)] + [INST.t]
+
+
+def _model():
+    m = LpModel()
+    m.add_var("x", obj=1)
+    return m
+
+
+def _add_var(v):
+    m = LpModel()
+    m.add_var("x", obj=v)
+    return m.obj
+
+
+def _add_row(sense):
+    def add(v):
+        m = _model()
+        getattr(m, sense)({0: 1}, v)
+        return m.constraints
+    return add
+
+
+def _arc_add(v):
+    f = ArcFlow()
+    f.add(0, 1, v)
+    return f
+
+
+def _cut_rhs(v):
+    m = _model()
+    m.add_ge({0: 1}, 0)
+    solver = SimplexSolver(m)
+    solver.solve()
+    solver.add_ge_cut({0: 1}, v)
+    return solver.reoptimize()
+
+
+ENTRY_POINTS = {
+    "LpModel.add_var": _add_var,
+    "LpModel._check_coeffs": lambda v: _model()._check_coeffs({0: v}),
+    "LpModel.add_le": _add_row("add_le"),
+    "LpModel.add_ge": _add_row("add_ge"),
+    "LpModel.add_eq": _add_row("add_eq"),
+    "SimplexSolver.add_ge_cut": _cut_rhs,
+    "ArcFlow.add": _arc_add,
+    "ArcFlow.scaled": lambda v: ArcFlow({(0, 1): 1}).scaled(v),
+    "latency.total_latency": lambda v: total_latency(INST, PATH, weights=[v] * INST.n),
+    "lp.build_alpha_lp": lambda v: lp.build_alpha_lp(INST, v)[0].constraints,
+    "lp.solve_lp_alpha": lambda v: lp.solve_lp_alpha(INST, v),
+    "lp.flow_alpha_violations": lambda v: lp.flow_alpha_violations(
+        INST.n, INST.s, INST.t, ArcFlow.from_paths([PATH]), v),
+    "cover.strengthen_fractional_cover": lambda v: cover.strengthen_fractional_cover(
+        ArcFlow.from_paths([PATH]), v, INST, range(INST.n)),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_float_raises_type_error(entry):
+    with pytest.raises(TypeError):
+        ENTRY_POINTS[entry](0.7)
+
+
+@pytest.mark.parametrize("value", ["2/3", 1])
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_exact_value_is_accepted(entry, value):
+    assert ENTRY_POINTS[entry](value) == ENTRY_POINTS[entry](F(value))

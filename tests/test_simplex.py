@@ -311,3 +311,51 @@ def test_cut_rows_name_structural_variables_only():
     solver.add_ge_cut({x: F(1, 2)}, F(5, 2))
     sol = solver.reoptimize()
     assert sol.status == OPTIMAL and sol.objective == 5
+
+
+def _beale_phase1_model(K):
+    """Beale's cycling LP moved into phase 1: the artificial of the last
+    row equals K + c.x, so Dantzig pricing stalls on it until the Bland
+    switch."""
+    m = LpModel()
+    for i in range(4):
+        m.add_var(f"x{i}", obj=1)
+    m.add_le({0: F(1, 4), 1: -8, 2: -1, 3: 9}, 0)
+    m.add_le({0: F(1, 2), 1: -12, 2: F(-1, 2), 3: 3}, 0)
+    m.add_le({2: 1}, 1)
+    c = (F(-3, 4), 20, F(-1, 2), 6)
+    m.add_eq({j: -cj for j, cj in enumerate(c)}, K)
+    return m
+
+
+@pytest.mark.parametrize("K, expected", [
+    (F(5, 4), (OPTIMAL, 2, 93)),
+    (1, (OPTIMAL, F(8, 5), 91)),
+    (2, (INFEASIBLE, None, 90)),
+])
+def test_phase1_stall_path_is_pinned(K, expected):
+    """Counts recorded when the artificial columns were stored: the
+    phase-1 stall limit still counts them."""
+    solver = SimplexSolver(_beale_phase1_model(K))
+    sol = solver.solve()
+    assert (sol.status, sol.objective, solver.pivots) == expected
+
+
+def test_redundant_equality_row_is_dropped():
+    m = LpModel()
+    x = m.add_var("x", obj=2)
+    y = m.add_var("y", obj=3)
+    z = m.add_var("z", obj=1)
+    m.add_eq({x: 1, y: 1, z: 1}, 4)
+    m.add_eq({x: 2, y: 2, z: 2}, 8)  # twice the row above
+    m.add_ge({x: 1, z: -1}, 1)
+    m.add_le({y: 1}, 3)
+    solver = SimplexSolver(m)
+    sol = solver.solve()
+    assert (sol.status, sol.objective, solver.pivots, len(solver._rows)) == (OPTIMAL, F(13, 2), 2, 3)
+    assert sol.values == {"x": F(5, 2), "y": 0, "z": F(3, 2)}
+    solver.add_ge_cut({y: 1}, 1)
+    sol = solver.reoptimize()
+    assert (sol.status, sol.objective, solver.pivots) == (OPTIMAL, 8, 3)
+    m.add_ge({y: 1}, 1)
+    assert simplex_solve(m) == sol
