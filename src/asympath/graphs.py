@@ -1,7 +1,8 @@
 """Exact combinatorial primitives used throughout the solvers.
 
-All values are exact: flows and capacities are Fractions, and the
-assignment solver runs on its costs scaled to ints over one common
+All values are exact: flows and capacities are Fractions at the
+interface, and the assignment solver, the max-flow and the flow
+decomposition run on their inputs scaled to ints over one common
 denominator.  There are no epsilon comparisons in this module.
 Functions are pure and deterministic: ties break toward lower node
 indices everywhere.
@@ -219,25 +220,32 @@ def max_flow_min_cut(capacities, source, sink, nodes=None):
     cut is a frozenset containing sink but not source whose incoming
     capacity equals value.  nodes widens the ground set the cut is drawn
     from (defaults to the capacity support plus the two terminals).
+    Shortest augmenting paths run on the capacities scaled to ints by the
+    lcm L of their denominators, which keeps every path and the cut; the
+    value is Fraction(flow, L).
     """
     if source == sink:
         raise InputError("source and sink must differ")
-    items = capacities.items()
-    residual = {}
+    items = [(arc, as_fraction(cap)) for arc, cap in capacities.items()]
+    L = common_denominator(cap for _, cap in items)
+    residual = {source: {}, sink: {}}
     node_set = set([source, sink])
     for (u, v), cap in items:
+        cap = cap.numerator * (L // cap.denominator)
         if cap < 0:
             raise InputError(f"negative capacity on ({u},{v})")
         if cap == 0 or u == v:
             continue
-        residual.setdefault(u, {})[v] = residual.get(u, {}).get(v, ZERO) + cap
-        residual.setdefault(v, {}).setdefault(u, ZERO)
+        out = residual.setdefault(u, {})
+        out[v] = out.get(v, 0) + cap
+        residual.setdefault(v, {}).setdefault(u, 0)
         node_set.add(u)
         node_set.add(v)
     if nodes is not None:
         node_set.update(nodes)
+    nbrs = {u: sorted(r) for u, r in residual.items()}
 
-    value = ZERO
+    value = 0
     while True:
         # BFS for the shortest augmenting path, neighbors in index order
         parent = {source: None}
@@ -246,8 +254,9 @@ def max_flow_min_cut(capacities, source, sink, nodes=None):
             u = queue.popleft()
             if u == sink:
                 break
-            for v in sorted(residual.get(u, {})):
-                if v not in parent and residual[u][v] > 0:
+            r = residual[u]
+            for v in nbrs[u]:
+                if v not in parent and r[v] > 0:
                     parent[v] = u
                     queue.append(v)
         if sink not in parent:
@@ -272,12 +281,12 @@ def max_flow_min_cut(capacities, source, sink, nodes=None):
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for v, cap in residual.get(u, {}).items():
+        for v, cap in residual[u].items():
             if cap > 0 and v not in reachable:
                 reachable.add(v)
                 queue.append(v)
     cut = frozenset(v for v in node_set if v not in reachable)
-    return value, cut
+    return Fraction(value, L), cut
 
 
 def max_bipartite_matching(adj):
@@ -342,54 +351,53 @@ def decompose_flow(flow, s, t):
 
     Cycles are peeled first (each subtracts the minimum arc value on a
     deterministically-chosen cycle); the acyclic remainder then splits
-    into s-t paths.  The weighted sum of the parts reproduces the input
-    exactly.
+    into s-t paths, each stepping to its lowest-index successor.  Values
+    are scaled to ints by the lcm L of their denominators and every amount
+    is Fraction(amount, L), so the parts reproduce the input exactly.
     """
     if s == t:
         raise InputError("s and t must differ")
-    work = flow.copy()
-    for u in work.nodes():
-        if u in (s, t):
-            continue
-        if work.in_flow(u) != work.out_flow(u):
+    L = common_denominator(amt for _, amt in flow.items())
+    work, succ, balance = {}, {}, Counter()  # balance: out minus in
+    for (u, v), amt in flow.items():
+        work[(u, v)] = amt = amt.numerator * (L // amt.denominator)
+        succ.setdefault(u, set()).add(v)
+        succ.setdefault(v, set())
+        balance[u] += amt
+        balance[v] -= amt
+    for u in flow.nodes():
+        if u not in (s, t) and balance[u]:
             raise ContractError(f"flow imbalance at interior node {u}")
-    excess = work.out_flow(s) - work.in_flow(s)
-    deficit = work.in_flow(t) - work.out_flow(t)
-    if excess != deficit or excess < 0:
+    if balance[s] != -balance[t] or balance[s] < 0:
         raise ContractError("source excess must equal sink deficit and be nonnegative")
 
+    def peel(arcs):
+        """Subtract the smallest value on arcs from each of them; return it."""
+        amt = min(work[arc] for arc in arcs)
+        for arc in arcs:
+            work[arc] -= amt
+            if not work[arc]:
+                del work[arc]
+                succ[arc[0]].discard(arc[1])
+        return amt
+
     decomp = Decomposition()
+    while (cycle := _find_cycle(succ)) is not None:
+        amt = peel(list(zip(cycle, cycle[1:] + cycle[:1])))
+        decomp.cycles.append((list(cycle), Fraction(amt, L)))
 
-    def succ_map():
-        m = {}
-        for (u, v) in work.arcs():
-            m.setdefault(u, set()).add(v)
-            m.setdefault(v, set())
-        return m
-
-    while True:
-        cycle = _find_cycle(succ_map())
-        if cycle is None:
-            break
-        amt = min(work[(u, v)] for u, v in zip(cycle, cycle[1:] + cycle[:1]))
-        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-            work.add(u, v, -amt)
-        decomp.cycles.append((list(cycle), amt))
-
-    while work.out_flow(s) > 0:
+    remaining = sum(work[(s, v)] for v in succ.get(s, ()))
+    while remaining > 0:
         path = [s]
-        u = s
-        while u != t:
-            nxt = min(v for (a, v) in work.arcs() if a == u)
-            path.append(nxt)
-            u = nxt
-        amt = min(work[(u, v)] for u, v in zip(path, path[1:]))
-        for u, v in zip(path, path[1:]):
-            work.add(u, v, -amt)
-        decomp.paths.append((path, amt))
+        while path[-1] != t:
+            path.append(min(succ[path[-1]]))
+        amt = peel(list(zip(path, path[1:])))
+        remaining -= amt
+        decomp.paths.append((path, Fraction(amt, L)))
 
     if work:
-        raise InvariantError("flow not fully decomposed", state=work)
+        raise InvariantError("flow not fully decomposed",
+                             state=ArcFlow({arc: Fraction(amt, L) for arc, amt in work.items()}))
     return decomp
 
 

@@ -21,7 +21,8 @@ class MetricInstance:
 
     d is an n x n matrix of nonnegative rationals with zero diagonal.
     weights, when present, are positive per-node rationals used by the
-    weighted latency objective.
+    weighted latency objective.  Both are stored as Fractions; a float
+    raises TypeError.  The metric itself is checked by validate().
     """
 
     n: int
@@ -35,6 +36,7 @@ class MetricInstance:
             raise InputError(f"instance needs at least 2 nodes, got {self.n}")
         if len(self.d) != self.n or any(len(row) != self.n for row in self.d):
             raise InputError("distance matrix is not n x n")
+        object.__setattr__(self, "d", tuple(tuple(map(as_fraction, row)) for row in self.d))
         if not (0 <= self.s < self.n and 0 <= self.t < self.n):
             raise InputError("s or t out of range")
         if self.s == self.t:
@@ -42,6 +44,7 @@ class MetricInstance:
         if self.weights is not None:
             if len(self.weights) != self.n:
                 raise InputError("weights length differs from n")
+            object.__setattr__(self, "weights", tuple(map(as_fraction, self.weights)))
             if any(w <= 0 for w in self.weights):
                 raise InputError("node weights must be positive")
 
@@ -240,12 +243,8 @@ def instance_from_json(text):
     """Parse an instance; raises InputError unless it is a valid metric."""
     doc = json.loads(text)
     try:
-        n = doc["n"]
-        d = tuple(tuple(as_fraction(x) for x in row) for row in doc["d"])
-        weights = None
-        if doc.get("weights") is not None:
-            weights = tuple(as_fraction(w) for w in doc["weights"])
-        inst = MetricInstance(n=n, s=doc["s"], t=doc["t"], d=d, weights=weights)
+        inst = MetricInstance(n=doc["n"], s=doc["s"], t=doc["t"], d=doc["d"],
+                              weights=doc.get("weights"))
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed instance JSON: {exc}") from exc
     bad = validate(inst).violations

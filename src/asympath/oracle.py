@@ -36,9 +36,10 @@ def _subset_dp(d, s, t, interior, mult):
     taken after visiting the interior subset mask costs d * mult[mask].
 
     Returns (value, order).  dp[mask][i] is the cheapest s -> interior[i]
-    route visiting exactly mask; masks, then i, then j are scanned in
-    ascending order and only a strictly cheaper route replaces a stored
-    one, so ties keep the first route found.
+    route visiting exactly mask.  No parent table is kept: the order is
+    rebuilt backwards from the first cheapest end, each step taking the
+    lowest i in the previous mask whose route extends to the stored value,
+    so ties keep the route that an ascending strict-< scan keeps.
     """
     m = len(interior)
     full = (1 << m) - 1
@@ -46,35 +47,45 @@ def _subset_dp(d, s, t, interior, mult):
         return d[s][t] * mult[0], [s, t]
     rows = [[d[u][v] for v in interior] for u in interior]
     dp = [[None] * m for _ in range(full + 1)]
-    parent = [[None] * m for _ in range(full + 1)]
     for i, v in enumerate(interior):
         dp[1 << i][i] = d[s][v] * mult[0]
+    # the set bits of x, ascending, are lo[x & low] + hi[x >> h]
+    h = m // 2
+    low = (1 << h) - 1
+    lo, hi = [[]], [[]]
+    for j in range(m):
+        part = lo if j < h else hi
+        part += [bits + [j] for bits in part]
     for mask in range(1, full):
         p = mult[mask]
-        free = [j for j in range(m) if not mask >> j & 1]
-        for i, cur in enumerate(dp[mask]):
-            if cur is None:
-                continue
+        cur_row = dp[mask]
+        first, *rest = lo[mask & low] + hi[mask >> h]
+        free = full ^ mask
+        targets = [(j, dp[mask | 1 << j]) for j in lo[free & low] + hi[free >> h]]
+        cur = cur_row[first]
+        row = rows[first]
+        for j, tgt in targets:
+            tgt[j] = cur + row[j] * p
+        for i in rest:
+            cur = cur_row[i]
             row = rows[i]
-            for j in free:
-                nmask = mask | 1 << j
+            for j, tgt in targets:
                 cand = cur + row[j] * p
-                old = dp[nmask][j]
-                if old is None or cand < old:
-                    dp[nmask][j] = cand
-                    parent[nmask][j] = i
-    best = None
-    best_i = None
-    for i in range(m):
-        cand = dp[full][i] + d[interior[i]][t] * mult[full]
-        if best is None or cand < best:
-            best = cand
-            best_i = i
-    order = [t]
-    mask, i = full, best_i
-    while i is not None:
-        order.append(interior[i])
-        mask, i = mask ^ 1 << i, parent[mask][i]
+                if cand < tgt[j]:
+                    tgt[j] = cand
+    ends = [dp[full][i] + d[v][t] * mult[full] for i, v in enumerate(interior)]
+    best = min(ends)
+    order, mask, j = [t], full, ends.index(best)
+    while True:
+        order.append(interior[j])
+        prev = mask ^ 1 << j
+        if not prev:
+            break
+        goal, p, prev_row = dp[mask][j], mult[prev], dp[prev]
+        for i in lo[prev & low] + hi[prev >> h]:
+            if prev_row[i] + rows[i][j] * p == goal:
+                break
+        mask, j = prev, i
     order.append(s)
     order.reverse()
     return best, order

@@ -21,7 +21,7 @@ def as_fraction(value):
 
 def rational_to_json(value):
     """Render a Fraction as an int (when integral) or a "p/q" string."""
-    f = Fraction(value)
+    f = as_fraction(value)
     if f.denominator == 1:
         return int(f)
     return f"{f.numerator}/{f.denominator}"
@@ -52,7 +52,7 @@ def common_denominator(values):
 
 def format_rational(value):
     """Human-facing "p/q" plus a short decimal approximation."""
-    f = Fraction(value)
+    f = as_fraction(value)
     if f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator} (~{float(f):.6g})"
@@ -63,7 +63,7 @@ def floor_log2(value):
 
     value must be a positive rational.
     """
-    f = Fraction(value)
+    f = as_fraction(value)
     if f <= 0:
         raise ValueError("floor_log2 requires a positive value")
     p = f.numerator.bit_length() - f.denominator.bit_length()

@@ -1,15 +1,18 @@
 """Exact-Fraction versions of the integer-scaled kernels, kept as test oracles.
 
-graphs.min_cost_perfect_matching, metric.metric_closure and the subset
-DPs behind oracle.exact_atspp / oracle.exact_latency scale their inputs to
-ints over one common denominator.  The functions below are the earlier
-versions that do every step over Fraction; tests pin the scaled kernels
-to the same values, matchings and orders.
+graphs.min_cost_perfect_matching, graphs.max_flow_min_cut,
+graphs.decompose_flow, metric.metric_closure and the subset DPs behind
+oracle.exact_atspp / oracle.exact_latency scale their inputs to ints over
+one common denominator.  The functions below are the earlier versions that
+do every step over Fraction; tests pin the scaled kernels to the same
+values, matchings, cuts, decompositions and orders.
 """
 
+from collections import deque
 from fractions import Fraction
 
-from asympath.errors import InfeasibleError, InputError, SizeLimitError
+from asympath.errors import ContractError, InfeasibleError, InputError, InvariantError, SizeLimitError
+from asympath.graphs import Decomposition, _find_cycle
 from asympath.metric import MetricInstance
 from asympath.oracle import ATSPP_CAP, LATENCY_CAP, ExactResult
 from asympath.rational import as_fraction
@@ -257,3 +260,127 @@ def exact_latency(inst, weights=None):
     order.append(s)
     order.reverse()
     return ExactResult(value=best, order=order)
+
+
+def max_flow_min_cut(capacities, source, sink, nodes=None):
+    """Exact max flow and a minimum cut (sink side) in a directed graph.
+
+    capacities: ArcFlow or {(u,v): rational}.  Returns (value, cut) where
+    cut is a frozenset containing sink but not source whose incoming
+    capacity equals value.  nodes widens the ground set the cut is drawn
+    from (defaults to the capacity support plus the two terminals).
+    """
+    if source == sink:
+        raise InputError("source and sink must differ")
+    items = capacities.items()
+    residual = {}
+    node_set = set([source, sink])
+    for (u, v), cap in items:
+        if cap < 0:
+            raise InputError(f"negative capacity on ({u},{v})")
+        if cap == 0 or u == v:
+            continue
+        residual.setdefault(u, {})[v] = residual.get(u, {}).get(v, ZERO) + cap
+        residual.setdefault(v, {}).setdefault(u, ZERO)
+        node_set.add(u)
+        node_set.add(v)
+    if nodes is not None:
+        node_set.update(nodes)
+
+    value = ZERO
+    while True:
+        # BFS for the shortest augmenting path, neighbors in index order
+        parent = {source: None}
+        queue = deque([source])
+        while queue:
+            u = queue.popleft()
+            if u == sink:
+                break
+            for v in sorted(residual.get(u, {})):
+                if v not in parent and residual[u][v] > 0:
+                    parent[v] = u
+                    queue.append(v)
+        if sink not in parent:
+            break
+        bottleneck = None
+        v = sink
+        while parent[v] is not None:
+            u = parent[v]
+            cap = residual[u][v]
+            if bottleneck is None or cap < bottleneck:
+                bottleneck = cap
+            v = u
+        v = sink
+        while parent[v] is not None:
+            u = parent[v]
+            residual[u][v] -= bottleneck
+            residual[v][u] += bottleneck
+            v = u
+        value += bottleneck
+
+    reachable = {source}
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v, cap in residual.get(u, {}).items():
+            if cap > 0 and v not in reachable:
+                reachable.add(v)
+                queue.append(v)
+    cut = frozenset(v for v in node_set if v not in reachable)
+    return value, cut
+
+
+def decompose_flow(flow, s, t):
+    """Split a flow into cycles plus s-t paths whose union is acyclic.
+
+    Cycles are peeled first (each subtracts the minimum arc value on a
+    deterministically-chosen cycle); the acyclic remainder then splits
+    into s-t paths.  The weighted sum of the parts reproduces the input
+    exactly.
+    """
+    if s == t:
+        raise InputError("s and t must differ")
+    work = flow.copy()
+    for u in work.nodes():
+        if u in (s, t):
+            continue
+        if work.in_flow(u) != work.out_flow(u):
+            raise ContractError(f"flow imbalance at interior node {u}")
+    excess = work.out_flow(s) - work.in_flow(s)
+    deficit = work.in_flow(t) - work.out_flow(t)
+    if excess != deficit or excess < 0:
+        raise ContractError("source excess must equal sink deficit and be nonnegative")
+
+    decomp = Decomposition()
+
+    def succ_map():
+        m = {}
+        for (u, v) in work.arcs():
+            m.setdefault(u, set()).add(v)
+            m.setdefault(v, set())
+        return m
+
+    while True:
+        cycle = _find_cycle(succ_map())
+        if cycle is None:
+            break
+        amt = min(work[(u, v)] for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            work.add(u, v, -amt)
+        decomp.cycles.append((list(cycle), amt))
+
+    while work.out_flow(s) > 0:
+        path = [s]
+        u = s
+        while u != t:
+            nxt = min(v for (a, v) in work.arcs() if a == u)
+            path.append(nxt)
+            u = nxt
+        amt = min(work[(u, v)] for u, v in zip(path, path[1:]))
+        for u, v in zip(path, path[1:]):
+            work.add(u, v, -amt)
+        decomp.paths.append((path, amt))
+
+    if work:
+        raise InvariantError("flow not fully decomposed", state=work)
+    return decomp

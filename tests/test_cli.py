@@ -90,6 +90,34 @@ def test_gap_report_csv_schema(tmp_path):
         assert int(row["ms"]) >= 0
 
 
+# gap-report --count 12 --nmin 4 --nmax 14 --seed 2009 without its ms column,
+# as printed before the max-flow, decomposition and subset-DP kernels moved
+# to ints; every value and order must stay byte-identical
+GAP_REPORT_2009 = """\
+id,n,seed,algorithm,value,lp_bound,opt,ratio_lp,ratio_opt,checks_passed
+0,4,2009,atspp,108,108,108,1,1,13/13
+1,5,2010,atspp,191,168,168,191/168,191/168,20/20
+2,6,2011,atspp,150,116,116,75/58,75/58,23/23
+3,7,2012,atspp,220,207,207,220/207,220/207,23/23
+4,8,2013,atspp,166,166,166,1,1,23/23
+5,9,2014,atspp,127,127,127,1,1,29/29
+6,10,2015,atspp,109,109,109,1,1,21/21
+7,11,2016,atspp,201,132,132,67/44,67/44,25/25
+8,12,2017,atspp,132,132,132,1,1,33/33
+9,13,2018,atspp,147,147,147,1,1,37/37
+10,14,2019,atspp,286,223,224,286/223,143/112,36/36
+11,4,2020,atspp,209,165,165,19/15,19/15,15/15
+"""
+
+
+def test_gap_report_csv_is_pinned(capsys):
+    assert main(["gap-report", "--count", "12", "--nmin", "4", "--nmax", "14",
+                 "--seed", "2009"]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert lines[0].endswith(",ms\n")
+    assert "".join(line.rsplit(",", 1)[0] + "\n" for line in lines) == GAP_REPORT_2009
+
+
 def test_gap_report_ratios_within_budget():
     from asympath.rational import as_fraction, ceil_log2_int
 

@@ -5,10 +5,10 @@ from fractions import Fraction as F
 
 import pytest
 
-from asympath import cover, lp
-from asympath.graphs import ArcFlow
+from asympath import cover, lp, rational
+from asympath.graphs import ArcFlow, max_flow_min_cut
 from asympath.latency import total_latency
-from asympath.metric import gen_random
+from asympath.metric import MetricInstance, gen_random
 from asympath.simplex import LpModel, SimplexSolver
 
 INST = gen_random(4, seed=1, max_weight=10)
@@ -66,6 +66,13 @@ ENTRY_POINTS = {
         INST.n, INST.s, INST.t, ArcFlow.from_paths([PATH]), v),
     "cover.strengthen_fractional_cover": lambda v: cover.strengthen_fractional_cover(
         ArcFlow.from_paths([PATH]), v, INST, range(INST.n)),
+    "graphs.max_flow_min_cut": lambda v: max_flow_min_cut({(0, 1): v, (1, 2): F(1, 4)}, 0, 2),
+    "MetricInstance.d": lambda v: MetricInstance(n=2, s=0, t=1, d=((0, v), (v, 0))),
+    "MetricInstance.weights": lambda v: MetricInstance(
+        n=2, s=0, t=1, d=((0, 1), (1, 0)), weights=(v, 1)),
+    "rational.floor_log2": rational.floor_log2,
+    "rational.rational_to_json": rational.rational_to_json,
+    "rational.format_rational": rational.format_rational,
 }
 
 

@@ -2,10 +2,11 @@
 
 Each test draws exact inputs with mixed denominators, zeros and many ties
 (values come from a small pool) and compares the scaled kernel against
-the Fraction copy in kernel_reference.py: equal values, equal matchings,
-equal orders, and Fraction return values.
+the Fraction copy in kernel_reference.py: equal values, matchings, cuts,
+cycles, paths and orders, and Fraction return values.
 """
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asympath import graphs, metric, oracle
-from asympath.errors import InfeasibleError
+from asympath.errors import ContractError, InfeasibleError
+from asympath.graphs import ArcFlow
 from asympath.metric import MetricInstance
 
 import kernel_reference as ref
@@ -56,6 +58,58 @@ def instances(draw, max_n=8):
     n, arcs, s, t = draw(arc_maps(max_n=max_n, missing=False))
     weights = draw(st.one_of(st.none(), st.lists(WEIGHTS, min_size=n, max_size=n)))
     return ref.metric_closure(n, arcs, s, t, weights=weights)
+
+
+@st.composite
+def capacity_maps(draw, max_n=7):
+    """(caps, source, sink, nodes): exact capacities on a random digraph,
+    zeros, antiparallel pairs and the odd self-loop included, as a dict
+    or an ArcFlow; nodes is None or widens the ground set past the
+    support."""
+    n = draw(st.integers(2, max_n))
+    caps = {}
+    for u in range(n):
+        for v in range(n):
+            if (u != v or draw(st.integers(0, 9)) == 0) and draw(st.booleans()):
+                caps[(u, v)] = draw(EXACT)
+    source, sink = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    if draw(st.booleans()):
+        caps = ArcFlow({arc: c for arc, c in caps.items() if arc[0] != arc[1]})
+    nodes = draw(st.one_of(st.none(), st.just(range(n + draw(st.integers(0, 2))))))
+    return caps, source, sink, nodes
+
+
+@st.composite
+def flows(draw, max_n=7):
+    """(flow, s, t): a sum of s-t paths and of cycles through interior
+    nodes (and now and then through s or t) with mixed-denominator
+    amounts, or, about one time in six, arbitrary arc values that are
+    usually unbalanced."""
+    n = draw(st.integers(3, max_n))
+    s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+    others = [v for v in range(n) if v not in (s, t)]
+    amount = st.builds(F, st.integers(1, 12), st.sampled_from([1, 2, 3, 4, 6, 7]))
+    flow = ArcFlow()
+    if draw(st.integers(0, 5)) == 0:
+        for u in range(n):
+            for v in range(n):
+                if u != v and draw(st.booleans()):
+                    flow.add(u, v, draw(amount))
+        return flow, s, t
+    for _ in range(draw(st.integers(0, 3))):
+        path = [s, *draw(st.permutations(others))[:draw(st.integers(0, len(others)))], t]
+        amt = draw(amount)
+        for u, v in zip(path, path[1:]):
+            flow.add(u, v, amt)
+    for _ in range(draw(st.integers(0, 3))):
+        pool = others + ([s, t] if draw(st.integers(0, 3)) == 0 else [])
+        cycle = draw(st.permutations(pool))[:draw(st.integers(2, max(2, len(pool))))]
+        if len(cycle) < 2:
+            continue
+        amt = draw(amount)
+        for u, v in zip(cycle, cycle[1:] + cycle[:1]):
+            flow.add(u, v, amt)
+    return flow, s, t
 
 
 def assert_all_fractions(values):
@@ -135,3 +189,46 @@ def test_zero_distance_ties_keep_the_first_order():
         res = kernel(inst)
         assert res == reference(inst)
         assert res.value == 0 and res.order[0] == 3 and res.order[-1] == 1
+
+
+@DERANDOMIZED
+@given(capacity_maps())
+def test_max_flow_equals_fraction_reference(case):
+    caps, source, sink, nodes = case
+    value, cut = graphs.max_flow_min_cut(caps, source, sink, nodes=nodes)
+    assert (value, cut) == ref.max_flow_min_cut(caps, source, sink, nodes=nodes)
+    assert_all_fractions([value])
+
+
+@DERANDOMIZED
+@given(flows())
+def test_decompose_flow_equals_fraction_reference(case):
+    flow, s, t = case
+    try:
+        expected = ref.decompose_flow(flow, s, t)
+    except ContractError as exc:
+        with pytest.raises(ContractError, match=f"^{re.escape(str(exc))}$"):
+            graphs.decompose_flow(flow, s, t)
+        return
+    decomp = graphs.decompose_flow(flow, s, t)
+    assert (decomp.cycles, decomp.paths) == (expected.cycles, expected.paths)
+    assert_all_fractions([amt for _, amt in decomp.cycles + decomp.paths])
+    assert decomp.as_flow() == flow
+
+
+def test_zero_distances_and_ties_pin_the_orders():
+    # d[u][v] = (g[v] - g[u]) uphill and twice (g[u] - g[v]) downhill: nodes
+    # with equal g are at distance 0, 36 orders tie for the cheapest path and
+    # 12 for the least weighted latency; the pinned orders are the ones the
+    # Fraction DPs chose
+    g = [F(1, 2), 0, 1, 0, F(1, 2), 1, 0]
+    d = tuple(tuple(max(g[v] - g[u], 0) + 2 * max(g[u] - g[v], 0) for v in range(7))
+              for u in range(7))
+    weights = (F(1, 2), 1, F(3, 2), 2, 1, F(1, 3), 3)
+    inst = MetricInstance(n=7, s=2, t=5, d=d, weights=weights)
+    assert metric.validate(inst).ok
+    atspp = oracle.ExactResult(value=F(3), order=[2, 4, 6, 3, 1, 0, 5])
+    assert oracle.exact_atspp(inst) == ref.exact_atspp(inst) == atspp
+    latency = oracle.ExactResult(value=F(29, 2), order=[2, 4, 0, 6, 3, 1, 5])
+    assert oracle.exact_latency(inst) == ref.exact_latency(inst) == latency
+    assert oracle.exact_latency(inst, weights) == ref.exact_latency(inst, weights) == latency
