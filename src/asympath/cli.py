@@ -283,7 +283,9 @@ def main(argv=None):
         print(f"invariant violation: {exc}", file=sys.stderr)
         state = getattr(exc, "state", None)
         if hasattr(state, "to_jsonable"):
-            json.dump(to_json(state.to_jsonable()), sys.stderr, indent=1)
+            state = state.to_jsonable()
+        if isinstance(state, (dict, list)):
+            json.dump(to_json(state), sys.stderr, indent=1)
             print(file=sys.stderr)
         return 2
     except (InputError, SizeLimitError, OSError, ValueError) as exc:

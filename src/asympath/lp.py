@@ -9,10 +9,11 @@ round costs only a handful of pivots.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import chain
 
 from .errors import DegenerateLatencyError, InputError, InvariantError
 from .graphs import ArcFlow, max_flow_min_cut
-from .rational import as_fraction, to_json
+from .rational import as_fraction, common_denominator, to_json
 from .simplex import OPTIMAL, LpModel, SimplexSolver
 
 ZERO = Fraction(0)
@@ -191,66 +192,75 @@ class LatencyLpSolution:
     rounds: int = 0
 
     def verify(self, inst):
-        """Exact check of every constraint family; returns violations."""
+        """Exact check of every constraint family; returns violations.
+
+        Values are compared as ints over the lcm L of the solution's
+        denominators; flow costs and prefix bounds are also scaled by the
+        lcm D of the distances' denominators.
+        """
         bad = []
         n, s, t = self.n, self.s, self.t
-        d = inst.d
+        L = common_denominator(chain(
+            self.x.values(), self.x3.values(), self.ell.values(),
+            (amt for fv in self.flows.values() for _, amt in fv.items())))
+        D = common_denominator(c for row in inst.d for c in row)
+        x, x3, ell = (_scaled(vals, L) for vals in (self.x, self.x3, self.ell))
+        d = [[c.numerator * (D // c.denominator) for c in row] for row in inst.d]
 
-        for (u, v), val in self.x.items():
+        for (u, v), val in x.items():
             if val < 0:
                 bad.append(f"x[{u},{v}] negative")
-        for key, val in self.x3.items():
+        for key, val in x3.items():
             if val < 0:
                 bad.append(f"x3{key} negative")
 
         for v in range(n):
             if v == s:
                 continue
-            fv = self.flows[v]
-            lat = self.ell[v]
+            # out-flow, in-flow and cost (over L * D) of the s-v flow
+            out, inn, cost = [0] * n, [0] * n, 0
+            for (a, b), amt in self.flows[v].items():
+                amt = amt.numerator * (L // amt.denominator)
+                out[a] += amt
+                inn[b] += amt
+                cost += amt * d[a][b]
+            lat = ell[v]
             if lat < 0:
                 bad.append(f"ell[{v}] negative")
-            if lat < fv.cost(inst):
+            if lat * D < cost:
                 bad.append(f"ell[{v}] below its flow cost")
-            if self.ell[t] < lat:
+            if ell[t] < lat:
                 bad.append(f"ell[{t}] < ell[{v}]")
             # unit flow out of the source and into the target
-            if fv.out_flow(s) != ONE or fv.in_flow(v) != ONE:
+            if out[s] != L or inn[v] != L:
                 bad.append(f"flow {v} lacks unit source/target value")
-            if fv.in_flow(s) != ZERO or fv.out_flow(v) != ZERO:
+            if inn[s] or out[v]:
                 bad.append(f"flow {v} enters the source or leaves its target")
             for u in range(n):
-                if u in (s, v):
-                    continue
-                if fv.in_flow(u) != fv.out_flow(u):
+                if u not in (s, v) and inn[u] != out[u]:
                     bad.append(f"flow {v} unbalanced at {u}")
             for u in range(n):
-                if u == v:
-                    continue
-                total = sum((fv[(u, w)] for w in range(n) if w != u), ZERO)
-                if total != self.x[(u, v)]:
+                if u != v and out[u] != x[(u, v)]:
                     bad.append(f"flow {v} through {u} != x[{u},{v}]")
 
         for u in range(n):
             for w in range(n):
                 if u == w:
                     continue
-                if self.x[(u, w)] + self.x[(w, u)] != ONE:
+                xuw = x[(u, w)]
+                if xuw + x[(w, u)] != L:
                     bad.append(f"x[{u},{w}] + x[{w},{u}] != 1")
                 for v in range(n):
                     if v in (u, w):
                         continue
-                    total = self.x3[(v, u, w)] + self.x3[(u, v, w)] + self.x3[(u, w, v)]
-                    if total != self.x[(u, w)]:
+                    if x3[(v, u, w)] + x3[(u, v, w)] + x3[(u, w, v)] != xuw:
                         bad.append(f"triple split of x[{u},{w}] via {v} broken")
-                    if v != s:
-                        coef = d[s][u] + d[u][w] + d[w][v]
-                        if self.ell[v] < coef * self.x3[(u, w, v)]:
-                            bad.append(f"ell[{v}] below prefix bound via ({u},{w})")
+                    if v != s and ell[v] * D < (d[s][u] + d[u][w] + d[w][v]) * x3[(u, w, v)]:
+                        bad.append(f"ell[{v}] below prefix bound via ({u},{w})")
         for u in range(n):
             if u in (s, t):
                 continue
-            if self.x[(s, u)] != ONE or self.x[(u, t)] != ONE:
+            if x[(s, u)] != L or x[(u, t)] != L:
                 bad.append(f"endpoint order values wrong for {u}")
 
         for v in range(n):
@@ -275,6 +285,11 @@ class LatencyLpSolution:
             "x": {f"{u},{w}": val for (u, w), val in sorted(self.x.items()) if val},
             "rounds": self.rounds,
         })
+
+
+def _scaled(values, L):
+    """{key: value * L} as ints, for exact values whose denominators divide L."""
+    return {k: q.numerator * (L // q.denominator) for k, q in values.items()}
 
 
 def build_latency_lp(inst, weighted=False):

@@ -8,14 +8,19 @@ which keeps cutting-plane loops cheap.
 
 Row representation.  Every tableau row, and the objective and phase-1
 reduced-cost rows, is a list of Python int numerators over one positive
-int denominator, with their common factor divided out after every update.
-A pivot on column c scales the pivot row to prow / pden with
-prow[c] == pden, then replaces each row with a nonzero in column c by
-(row * pden - row[c] * prow) / (den * pden), reduced again: integer-
-preserving elimination in the style of Edmonds and Bareiss.  (Scaling by
-pden / gcd(row[c], pden) in place of pden gives the same reduced row.)  Values enter
+int denominator.  A pivot on column c scales the pivot row to prow / pden
+with prow[c] == pden, in lowest terms, then replaces each row with a
+nonzero in column c by (row * scale - row[c] / g * prow) / (den * scale),
+where g = gcd(row[c], pden) and scale = pden / g: integer-preserving
+elimination in the style of Edmonds and Bareiss.  Reduction only bounds
+the size of the numbers (the entries of a row are fixed rationals, so its
+denominator bounds its numerators), so an eliminated row is brought to
+lowest terms only once its denominator reaches 2**_REDUCE_BITS.  Rows are
+therefore not always in lowest terms, and the tableau after any step
+equals the fully reduced one as rationals, not bit for bit.  Values enter
 as Fractions (LpModel rows and cut rows, turned into integer rows over the
-lcm of their denominators) and leave as Fractions only in solution().
+lcm of their denominators) and leave as Fractions, in lowest terms, only
+in solution().
 
 Comparisons stay exact without Fractions.  Entries of one row share its
 positive denominator, so pricing compares numerators.  A ratio of two
@@ -31,9 +36,9 @@ vector, and one that leaves the basis may never re-enter, so its column is
 never read.  The phase-1 row starts as minus the sum of the artificial-
 basic rows.  Dropping those columns can change the gcd that scales a row
 during phase 1, but every decision above is invariant under a positive
-row scale, and rows are reduced to lowest terms, so the path is the same
-and the tableau after phase 1 is the same.  The phase-1 stall limit
-still counts the artificial columns, as the Bland switch depends on it.
+row scale, so the path is the same, and so is the tableau after phase 1
+as rationals.  The phase-1 stall limit still counts the artificial
+columns, as the Bland switch depends on it.
 """
 
 from dataclasses import dataclass
@@ -44,6 +49,11 @@ from .errors import InputError, SolverError
 from .rational import as_fraction, to_json
 
 ZERO = Fraction(0)
+
+# an eliminated row is brought to lowest terms once its denominator
+# reaches 2**_REDUCE_BITS; below that, the gcd costs more time than the
+# smaller numbers would save
+_REDUCE_BITS = 128
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -372,14 +382,10 @@ class SimplexSolver:
                 if objrow[j] < 0:
                     return j
             return -1
-        best = -1
-        best_val = 0
-        for j in range(self._ncols):
-            v = objrow[j]
-            if v < best_val:
-                best_val = v
-                best = j
-        return best
+        # Dantzig: the first most negative reduced cost
+        costs = objrow[:self._ncols]
+        best = min(costs, default=0)
+        return costs.index(best) if best < 0 else -1
 
     def _leaving(self, c):
         # ratio rhs / row[c]: the row's denominator cancels, and rows are
@@ -421,6 +427,8 @@ class SimplexSolver:
 
 def _reduced(nums, den):
     """nums / den with the common factor of every entry and den removed."""
+    if den == 1:
+        return nums, den
     g = gcd(den, *nums)
     if g == 1:
         return nums, den
@@ -430,8 +438,9 @@ def _reduced(nums, den):
 def _eliminate(row, den, pnz, pden, c):
     """row / den minus its column-c multiple of the unit-pivot row
     prow / pden, given as its nonzero (column, numerator) pairs with
-    prow[c] == pden.  Returns reduced numerators and denominator; row
-    itself may be updated in place."""
+    prow[c] == pden.  Returns numerators and a positive denominator,
+    reduced only once the denominator reaches 2**_REDUCE_BITS; row itself
+    may be updated in place."""
     g = gcd(row[c], pden)
     f = row[c] // g
     scale = pden // g  # smallest multiplier that clears pden from f / pden
@@ -440,7 +449,9 @@ def _eliminate(row, den, pnz, pden, c):
         den *= scale
     for j, b in pnz:
         row[j] -= f * b
-    return _reduced(row, den)
+    if den >> _REDUCE_BITS:
+        return _reduced(row, den)
+    return row, den
 
 
 def _nonzeros(row):

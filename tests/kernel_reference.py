@@ -1,11 +1,12 @@
 """Exact-Fraction versions of the integer-scaled kernels, kept as test oracles.
 
 graphs.min_cost_perfect_matching, graphs.max_flow_min_cut,
-graphs.decompose_flow, metric.metric_closure and the subset DPs behind
-oracle.exact_atspp / oracle.exact_latency scale their inputs to ints over
-one common denominator.  The functions below are the earlier versions that
-do every step over Fraction; tests pin the scaled kernels to the same
-values, matchings, cuts, decompositions and orders.
+graphs.decompose_flow, metric.metric_closure, the subset DPs behind
+oracle.exact_atspp / oracle.exact_latency and lp.LatencyLpSolution.verify
+scale their inputs to ints over one common denominator.  The functions
+below are the earlier versions that do every step over Fraction; tests pin
+the scaled kernels to the same values, matchings, cuts, decompositions,
+orders and violation lists.
 """
 
 from collections import deque
@@ -18,6 +19,7 @@ from asympath.oracle import ATSPP_CAP, LATENCY_CAP, ExactResult
 from asympath.rational import as_fraction
 
 ZERO = Fraction(0)
+ONE = Fraction(1)
 
 
 def min_cost_perfect_matching(cost):
@@ -384,3 +386,83 @@ def decompose_flow(flow, s, t):
     if work:
         raise InvariantError("flow not fully decomposed", state=work)
     return decomp
+
+
+def latency_lp_verify(self, inst):
+    """LatencyLpSolution.verify over Fraction: exact check of every
+    constraint family of the solution self; returns violations."""
+    bad = []
+    n, s, t = self.n, self.s, self.t
+    d = inst.d
+
+    for (u, v), val in self.x.items():
+        if val < 0:
+            bad.append(f"x[{u},{v}] negative")
+    for key, val in self.x3.items():
+        if val < 0:
+            bad.append(f"x3{key} negative")
+
+    for v in range(n):
+        if v == s:
+            continue
+        fv = self.flows[v]
+        lat = self.ell[v]
+        if lat < 0:
+            bad.append(f"ell[{v}] negative")
+        if lat < fv.cost(inst):
+            bad.append(f"ell[{v}] below its flow cost")
+        if self.ell[t] < lat:
+            bad.append(f"ell[{t}] < ell[{v}]")
+        # unit flow out of the source and into the target
+        if fv.out_flow(s) != ONE or fv.in_flow(v) != ONE:
+            bad.append(f"flow {v} lacks unit source/target value")
+        if fv.in_flow(s) != ZERO or fv.out_flow(v) != ZERO:
+            bad.append(f"flow {v} enters the source or leaves its target")
+        for u in range(n):
+            if u in (s, v):
+                continue
+            if fv.in_flow(u) != fv.out_flow(u):
+                bad.append(f"flow {v} unbalanced at {u}")
+        for u in range(n):
+            if u == v:
+                continue
+            total = sum((fv[(u, w)] for w in range(n) if w != u), ZERO)
+            if total != self.x[(u, v)]:
+                bad.append(f"flow {v} through {u} != x[{u},{v}]")
+
+    for u in range(n):
+        for w in range(n):
+            if u == w:
+                continue
+            if self.x[(u, w)] + self.x[(w, u)] != ONE:
+                bad.append(f"x[{u},{w}] + x[{w},{u}] != 1")
+            for v in range(n):
+                if v in (u, w):
+                    continue
+                total = self.x3[(v, u, w)] + self.x3[(u, v, w)] + self.x3[(u, w, v)]
+                if total != self.x[(u, w)]:
+                    bad.append(f"triple split of x[{u},{w}] via {v} broken")
+                if v != s:
+                    coef = d[s][u] + d[u][w] + d[w][v]
+                    if self.ell[v] < coef * self.x3[(u, w, v)]:
+                        bad.append(f"ell[{v}] below prefix bound via ({u},{w})")
+    for u in range(n):
+        if u in (s, t):
+            continue
+        if self.x[(s, u)] != ONE or self.x[(u, t)] != ONE:
+            bad.append(f"endpoint order values wrong for {u}")
+
+    for v in range(n):
+        if v == s:
+            continue
+        fv = self.flows[v]
+        for y in range(n):
+            if y in (s, v, t):
+                continue
+            need = self.x[(y, v)]
+            if need == 0:
+                continue
+            value, _ = max_flow_min_cut(fv, s, y, nodes=range(n))
+            if value < need:
+                bad.append(f"flow {v} sends {value} < x[{y},{v}] through {y}")
+    return bad

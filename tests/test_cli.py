@@ -8,8 +8,10 @@ from pathlib import Path
 
 import pytest
 
+from asympath import atspp as atspp_mod
 from asympath import latency as latency_mod
-from asympath import metric
+from asympath import lp, metric
+from asympath.errors import InvariantError
 from asympath.cli import GAP_REPORT_COLUMNS, gap_report_rows, main
 
 
@@ -208,6 +210,36 @@ def test_latency_invariant_error_dumps_state_as_json(tmp_path, capsys, monkeypat
     state = json.loads(body)
     assert state["checks"][-1] == {"name": "forced failure", "pass": False, "witness": "1/3"}
     assert any("family_hops" in step for step in state["steps"])
+
+
+def test_latency_lp_violation_list_is_dumped_as_json(tmp_path, capsys, monkeypatch):
+    inst_file = tmp_path / "inst.json"
+    assert main(["gen", "--random", "4", "--seed", "1", "--max-weight", "9",
+                 "--out", str(inst_file)]) == 0
+    violations = ["x[1,2] negative", "flow 3 unbalanced at 1"]
+    monkeypatch.setattr(lp.LatencyLpSolution, "verify", lambda sol, inst: list(violations))
+    assert main(["lp-bound", "--latency", "--in", str(inst_file)]) == 2
+    head, _, body = capsys.readouterr().err.partition("\n")
+    assert head == ("invariant violation: reconstructed latency solution "
+                    "failed verification")
+    assert json.loads(body) == violations
+
+
+@pytest.mark.parametrize("state, dumped", [
+    ([(0, 2), (2, 3)], [[0, 2], [2, 3]]),  # the cover's matching arcs
+    ({0: Fraction(1, 3), 2: Fraction(0)}, {"0": "1/3", "2": 0}),  # per-node path flow
+])
+def test_plain_invariant_state_is_dumped_as_json(tmp_path, capsys, monkeypatch, state, dumped):
+    inst_file = _gen_trace_instance(tmp_path)
+
+    def failing(inst, k):
+        raise InvariantError("forced failure", state=state)
+
+    monkeypatch.setattr(atspp_mod, "multipath_cover", failing)
+    assert main(["multipath", "--k", "2", "--in", str(inst_file)]) == 2
+    head, _, body = capsys.readouterr().err.partition("\n")
+    assert head == "invariant violation: forced failure"
+    assert json.loads(body) == dumped
 
 
 def test_python_dash_m_runs_the_cli():

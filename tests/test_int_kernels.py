@@ -6,7 +6,9 @@ the Fraction copy in kernel_reference.py: equal values, matchings, cuts,
 cycles, paths and orders, and Fraction return values.
 """
 
+import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from asympath import graphs, metric, oracle
+from asympath.lp import solve_latency_lp
 from asympath.errors import ContractError, InfeasibleError
 from asympath.graphs import ArcFlow
 from asympath.metric import MetricInstance
@@ -232,3 +235,50 @@ def test_zero_distances_and_ties_pin_the_orders():
     latency = oracle.ExactResult(value=F(29, 2), order=[2, 4, 0, 6, 3, 1, 5])
     assert oracle.exact_latency(inst) == ref.exact_latency(inst) == latency
     assert oracle.exact_latency(inst, weights) == ref.exact_latency(inst, weights) == latency
+
+
+def _latency_lp_cases():
+    """Optimal latency LP solutions: integer distances, weighted, and a
+    closure of mixed-denominator and zero distances with s and t inside."""
+    rng = random.Random(17)
+    arcs = {(u, v): F(rng.randint(1, 9), rng.choice([1, 2, 3, 7]))
+            for u in range(5) for v in range(5) if u != v}
+    arcs[(3, 0)] = arcs[(0, 1)] = 0  # zero latency at 0, and a tie with t = 1
+    cases = [
+        (metric.gen_random(4, seed=3, max_weight=20), False),
+        (metric.gen_random(5, seed=2, max_weight=50), True),
+        (metric.metric_closure(5, arcs, 3, 1, weights=[1, F(1, 2), 2, F(5, 3), 1]), True),
+    ]
+    return [(inst, solve_latency_lp(inst, weighted=w)) for inst, w in cases]
+
+
+def _perturbed(sol, rng):
+    """sol with one to three order, triple, latency or flow entries moved
+    by +-1/q (a flow arc only where it stays nonnegative)."""
+    x, x3, ell = dict(sol.x), dict(sol.x3), dict(sol.ell)
+    flows = {v: fv.copy() for v, fv in sol.flows.items()}
+    for _ in range(rng.randint(1, 3)):
+        step = F(rng.choice([-1, 1]), rng.choice([1, 2, 3, 5, 12]))
+        family = rng.choice(["x", "x3", "ell", "flow"])
+        if family == "flow":
+            fv = flows[rng.choice(sorted(flows))]
+            u, w = rng.sample(range(sol.n), 2)
+            fv.add(u, w, abs(step) if fv[(u, w)] < abs(step) else step)
+        else:
+            values = {"x": x, "x3": x3, "ell": ell}[family]
+            key = rng.choice(sorted(values))
+            values[key] += step
+    return replace(sol, x=x, x3=x3, ell=ell, flows=flows)
+
+
+def test_latency_verify_equals_fraction_reference():
+    rng = random.Random(2026)
+    nonempty = 0
+    for inst, sol in _latency_lp_cases():
+        assert sol.verify(inst) == ref.latency_lp_verify(sol, inst) == []
+        for _ in range(60):
+            bad = _perturbed(sol, rng)
+            violations = bad.verify(inst)
+            assert violations == ref.latency_lp_verify(bad, inst)
+            nonempty += bool(violations)
+    assert nonempty >= 160

@@ -3,12 +3,17 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from asympath import simplex
 from asympath.errors import InputError, SolverError
 from asympath.graphs import max_flow_min_cut
-from asympath.lp import _extract_flow, _ReducedLatency, build_alpha_lp
+from asympath.lp import _extract_flow, _ReducedLatency, build_alpha_lp, solve_latency_lp, solve_lp_alpha
 from asympath.metric import gen_random
-from asympath.simplex import INFEASIBLE, OPTIMAL, UNBOUNDED, LpModel, SimplexSolver, simplex_solve
+from asympath.simplex import (
+    INFEASIBLE, OPTIMAL, UNBOUNDED, LpModel, SimplexSolver, _reduced, simplex_solve,
+)
 
 F = Fraction
 
@@ -359,3 +364,163 @@ def test_redundant_equality_row_is_dropped():
     assert (sol.status, sol.objective, solver.pivots) == (OPTIMAL, 8, 3)
     m.add_ge({y: 1}, 1)
     assert simplex_solve(m) == sol
+
+
+# -- lazy row reduction ------------------------------------------------------
+
+
+def _lazy_and_eager(run):
+    """run() with the default lazy reduction and with every eliminated row
+    brought to lowest terms (a threshold of 2**0), the eager reference.
+
+    Asserts that both take the same (row, column) pivots, return the same
+    result and end with every solver's tableau equal after reduction.
+    Returns the lazy run's pivots and result, and whether any of its final
+    rows was left unreduced.
+    """
+    runs = []
+    for bits in (simplex._REDUCE_BITS, 0):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simplex, "_REDUCE_BITS", bits)
+            pivots, solvers = [], []
+            pivot, solve = SimplexSolver._pivot, SimplexSolver.solve
+
+            def pivot_spy(self, r, c):
+                pivots.append((r, c))
+                return pivot(self, r, c)
+
+            def solve_spy(self):
+                solvers.append(self)
+                return solve(self)
+
+            mp.setattr(SimplexSolver, "_pivot", pivot_spy)
+            mp.setattr(SimplexSolver, "solve", solve_spy)
+            result = run()
+        raw = [(list(zip(sv._rows, sv._dens)), (sv._obj, sv._obj_den)) for sv in solvers]
+        runs.append((pivots, result, raw))
+    (pivots, result, raw), (eager_pivots, eager_result, eager_raw) = runs
+    assert pivots == eager_pivots
+    assert result == eager_result
+
+    def lowest_terms(tableaus):
+        return [([_reduced(list(row), den) for row, den in rows], _reduced(list(obj), obj_den))
+                for rows, (obj, obj_den) in tableaus]
+
+    assert lowest_terms(raw) == lowest_terms(eager_raw)
+    return pivots, result, raw != eager_raw
+
+
+def _cut_scenario(model, cut_rounds):
+    """Solve, then add each round of cuts and reoptimize; every solution."""
+    solver = SimplexSolver(model)
+    sols = [solver.solve()]
+    for cuts in cut_rounds:
+        if sols[-1].status != OPTIMAL:
+            break
+        for coeffs, rhs in cuts:
+            solver.add_ge_cut(coeffs, rhs)
+        sols.append(solver.reoptimize())
+    return sols
+
+
+def _rational(rng, lo, hi):
+    return F(rng.randint(lo, hi), rng.randint(1, 9))
+
+
+def test_lazy_reduction_takes_the_eager_path_with_cuts():
+    rng = random.Random(909)
+    pivots = reoptimized = unreduced = 0
+    for trial in range(40):
+        m = LpModel()
+        nv = rng.randint(4, 8)
+        for i in range(nv):
+            m.add_var(f"x{i}", obj=_rational(rng, 1, 9))
+        for _ in range(rng.randint(4, 9)):
+            coeffs = {j: _rational(rng, -5, 9) for j in range(nv) if rng.random() < 0.7}
+            coeffs = {j: c for j, c in coeffs.items() if c} or {0: F(1)}
+            _add_row(m, rng.choice(["<=", ">=", ">=", "="]), coeffs, _rational(rng, -3, 12))
+        cut_rounds = [
+            [({j: _rational(rng, 0, 5) for j in range(nv)}, _rational(rng, 1, 9))
+             for _ in range(rng.randint(1, 2))]
+            for _ in range(3)
+        ]
+        path, sols, lazy = _lazy_and_eager(lambda: _cut_scenario(m, cut_rounds))
+        pivots += len(path)
+        reoptimized += sum(sol.status == OPTIMAL for sol in sols[1:])
+        unreduced += lazy
+    assert pivots >= 200 and reoptimized >= 25 and unreduced >= 30
+
+
+@pytest.mark.parametrize("n, seed", [(5, 1), (5, 4), (6, 3)])
+def test_lazy_reduction_takes_the_eager_path_on_latency_lps(n, seed):
+    inst = gen_random(n, seed=seed, max_weight=50)
+    path, _, lazy = _lazy_and_eager(lambda: solve_latency_lp(inst))
+    assert path and lazy
+
+
+@pytest.mark.parametrize("seed", [5, 7, 11])
+def test_lazy_reduction_takes_the_eager_path_on_lp_alpha(seed):
+    inst = gen_random(12, seed=seed, max_weight=100)
+    path, _, lazy = _lazy_and_eager(lambda: solve_lp_alpha(inst, 1))
+    assert path
+
+
+# Mersenne primes past the lazy-reduction threshold: a row with one of
+# them as a denominator starts there
+BIG_PRIMES = [2**521 - 1, 2**607 - 1, 2**1279 - 1]
+BIG_DENOMINATOR = st.sampled_from([1, 2, 3, *BIG_PRIMES])
+
+
+@st.composite
+def big_denominator_lps(draw):
+    """Bounded LPs (positive costs) whose entries have large prime
+    denominators; a covering row makes x = 0 infeasible, so phase 1
+    pivots."""
+    m = LpModel()
+    nv = draw(st.integers(2, 4))
+    for i in range(nv):
+        m.add_var(f"x{i}", obj=F(draw(st.integers(1, 9)), draw(st.sampled_from(BIG_PRIMES))))
+    positive = st.builds(F, st.integers(1, 9), BIG_DENOMINATOR)
+    m.add_ge({j: draw(positive) for j in range(nv)}, draw(positive))
+    for _ in range(draw(st.integers(1, 3))):
+        coeffs = {j: F(draw(st.integers(-6, 9)), draw(BIG_DENOMINATOR)) for j in range(nv)}
+        coeffs = {j: c for j, c in coeffs.items() if c} or {0: F(1)}
+        rhs = F(draw(st.integers(-4, 12)), draw(BIG_DENOMINATOR))
+        _add_row(m, draw(st.sampled_from(["<=", ">=", "="])), coeffs, rhs)
+    return m
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(big_denominator_lps())
+def test_large_prime_denominators_are_reduced_and_match_vertex_enumeration(model):
+    with pytest.MonkeyPatch.context() as mp:
+        reductions, inside = [], []
+        eliminate, reduced = simplex._eliminate, simplex._reduced
+
+        def eliminate_spy(*args):
+            inside.append(True)
+            try:
+                return eliminate(*args)
+            finally:
+                inside.pop()
+
+        def reduced_spy(nums, den):
+            if inside:
+                reductions.append(den)
+            return reduced(nums, den)
+
+        mp.setattr(simplex, "_eliminate", eliminate_spy)
+        mp.setattr(simplex, "_reduced", reduced_spy)
+        solver = SimplexSolver(model)
+        sol = solver.solve()
+    # the reduction branch of _eliminate ran, and only past the threshold
+    assert min(BIG_PRIMES) >> simplex._REDUCE_BITS
+    assert solver.pivots and reductions
+    assert all(den >> simplex._REDUCE_BITS for den in reductions)
+    expected = enumerate_vertices(model)
+    if expected is None:
+        assert sol.status == INFEASIBLE
+    else:
+        assert sol.status == OPTIMAL and sol.objective == expected
+    _, result, _ = _lazy_and_eager(lambda: simplex_solve(model))
+    assert result == sol
