@@ -32,7 +32,7 @@ def min_k_path_cycle_cover(inst, W, k):
     """
     if k < 1:
         raise InputError("k must be >= 1")
-    W = sorted(set(W))
+    W = sorted(inst.node_set(W))
     s, t = inst.s, inst.t
     if s not in W or t not in W or len(W) < 2:
         raise InputError("W must contain both s and t")

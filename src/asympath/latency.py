@@ -17,7 +17,7 @@ from .errors import CheckLog, DegenerateLatencyError, InputError, InvariantError
 from .graphs import shortcut
 from .lp import normalize_latencies, solve_latency_lp
 from .metric import induced_subinstance
-from .rational import as_fraction, ceil_log2_int, floor_log2, to_json
+from .rational import ceil_log2_int, floor_log2, to_json
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -86,17 +86,12 @@ def total_latency(inst, order, weights=None):
         or set(order) != set(range(n))
     ):
         raise InputError("order must visit every node exactly once, s first, t last")
-
-    def w(v):
-        if weights is not None:
-            return as_fraction(weights[v])
-        return inst.weight(v)
-
+    w = inst.node_weights(weights)
     total = ZERO
     acc = ZERO
     for u, v in zip(order, order[1:]):
         acc += inst.d[u][v]
-        total += w(v) * acc
+        total += w[v] * acc
     return total
 
 

@@ -9,11 +9,11 @@ round costs only a handful of pivots.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations, permutations
 
 from .errors import DegenerateLatencyError, InputError, InvariantError
 from .graphs import ArcFlow, max_flow_min_cut
-from .rational import as_fraction, common_denominator, to_json
+from .rational import as_fraction, common_denominator, scaled_matrix, to_json
 from .simplex import OPTIMAL, LpModel, SimplexSolver
 
 ZERO = Fraction(0)
@@ -203,9 +203,8 @@ class LatencyLpSolution:
         L = common_denominator(chain(
             self.x.values(), self.x3.values(), self.ell.values(),
             (amt for fv in self.flows.values() for _, amt in fv.items())))
-        D = common_denominator(c for row in inst.d for c in row)
         x, x3, ell = (_scaled(vals, L) for vals in (self.x, self.x3, self.ell))
-        d = [[c.numerator * (D // c.denominator) for c in row] for row in inst.d]
+        d, D = scaled_matrix(inst.d)
 
         for (u, v), val in x.items():
             if val < 0:
@@ -310,9 +309,14 @@ class _ReducedLatency:
     and the sink follows everything), one direction of each interior pair
     is eliminated through x_uw + x_wu = 1, triple variables survive only
     for all-interior triples, and flow variables exist only on arcs not
-    already forced to zero.  The public solution is reconstructed over the
-    full variable set and re-verified exactly, so the substitution cannot
-    silently change the program.
+    already forced to zero.  So every pair or triple order value is one
+    term (const, var, sign): a constant 0 or 1, plus sign * var unless var
+    is None.  The public solution is reconstructed over the full variable
+    set and re-verified exactly, so the substitution cannot silently change
+    the program.
+
+    Variable and row order are load-bearing: the simplex pivot path on
+    this model is pinned, and reordering either changes it.
     """
 
     def __init__(self, inst, weighted=False):
@@ -320,69 +324,46 @@ class _ReducedLatency:
         self.weighted = weighted
         n, s, t = inst.n, inst.s, inst.t
         self.n, self.s, self.t = n, s, t
-        self.P = [v for v in range(n) if v not in (s, t)]
-        model = LpModel()
-        self.model = model
+        P = self.P = [v for v in range(n) if v not in (s, t)]
+        model = self.model = LpModel()
 
-        self.lv = {}
-        for v in range(n):
-            if v != s:
-                self.lv[v] = model.add_var(f"l[{v}]", obj=inst.weight(v) if weighted else ONE)
-        self.y = {}
-        for i, u in enumerate(self.P):
-            for w in self.P[i + 1:]:
-                self.y[(u, w)] = model.add_var(f"x[{u},{w}]")
-        self.z = {}
-        for a in self.P:
-            for b in self.P:
-                for c in self.P:
-                    if len({a, b, c}) == 3:
-                        self.z[(a, b, c)] = model.add_var(f"x3[{a},{b},{c}]")
+        self.lv = {v: model.add_var(f"l[{v}]", obj=inst.weight(v) if weighted else ONE)
+                   for v in range(n) if v != s}
+        self.y = {(u, w): model.add_var(f"x[{u},{w}]") for u, w in combinations(P, 2)}
+        self.z = {k: model.add_var("x3[{},{},{}]".format(*k)) for k in permutations(P, 3)}
+        # fv[v]: the arcs the s-v flow may use, each with its column
         self.fv = {}
-        for v in self.P:
-            arcs = {}
-            for u in [s, *self.P]:
-                if u == v:
-                    continue
-                for w in self.P:
-                    if w != u:
-                        arcs[(u, w)] = model.add_var(f"f[{v}][{u},{w}]")
-            self.fv[v] = arcs
-        arcs = {}
-        for u in [s, *self.P]:
-            for w in [*self.P, t]:
-                if w != u:
-                    arcs[(u, w)] = model.add_var(f"f[{t}][{u},{w}]")
-        self.fv[t] = arcs
+        for v in [*P, t]:
+            heads = [*P, t] if v == t else P
+            self.fv[v] = {(u, w): model.add_var(f"f[{v}][{u},{w}]")
+                          for u in [s, *P] if u != v for w in heads if w != u}
 
         self._build_rows()
 
-    # pair/triple order values as (constant, {var: coef}) expressions
+    # pair/triple order values as (const, var, sign) terms
 
     def pair_expr(self, u, w):
         if u == self.s or w == self.t:
-            return ONE, {}
+            return ONE, None, 0
         if w == self.s or u == self.t:
-            return ZERO, {}
+            return ZERO, None, 0
         if u < w:
-            return ZERO, {self.y[(u, w)]: ONE}
-        return ONE, {self.y[(w, u)]: -ONE}
+            return ZERO, self.y[(u, w)], 1
+        return ONE, self.y[(w, u)], -1
 
     def triple_expr(self, a, b, c):
         if a == self.s:
             return self.pair_expr(b, c)
-        if b == self.s or c == self.s:
-            return ZERO, {}
+        if self.s in (b, c) or self.t in (a, b):
+            return ZERO, None, 0
         if c == self.t:
             return self.pair_expr(a, b)
-        if a == self.t or b == self.t:
-            return ZERO, {}
-        return ZERO, {self.z[(a, b, c)]: ONE}
+        return ZERO, self.z[(a, b, c)], 1
 
     @staticmethod
     def value(values, expr):
-        const, terms = expr
-        return const + sum((values[j] * c for j, c in terms.items()), ZERO)
+        const, var, sign = expr
+        return const if var is None else const + sign * values[var]
 
     def _build_rows(self):
         inst, model = self.inst, self.model
@@ -403,32 +384,14 @@ class _ReducedLatency:
         for idx in self.y.values():
             model.add_le({idx: ONE}, ONE)
 
-        p = self.P
-        for i, a in enumerate(p):
-            for j, b in enumerate(p[i + 1:], i + 1):
-                for c in p[j + 1:]:
-                    z = self.z
-                    # orderings of {a,b,c} carrying "a before b" etc.
-                    model.add_eq(
-                        {z[(a, b, c)]: ONE, z[(a, c, b)]: ONE, z[(c, a, b)]: ONE,
-                         self.y[(a, b)]: -ONE},
-                        ZERO,
-                    )
-                    model.add_eq(
-                        {z[(a, b, c)]: ONE, z[(a, c, b)]: ONE, z[(b, a, c)]: ONE,
-                         self.y[(a, c)]: -ONE},
-                        ZERO,
-                    )
-                    model.add_eq(
-                        {z[(a, b, c)]: ONE, z[(b, a, c)]: ONE, z[(b, c, a)]: ONE,
-                         self.y[(b, c)]: -ONE},
-                        ZERO,
-                    )
-                    model.add_eq(
-                        {z[key]: ONE for key in (
-                            (a, b, c), (a, c, b), (b, a, c), (b, c, a), (c, a, b), (c, b, a))},
-                        ONE,
-                    )
+        for triple in combinations(self.P, 3):
+            orders = list(permutations(triple))
+            # the orderings that put p before q sum to x[p,q]; all six to 1
+            for p, q in combinations(triple, 2):
+                coeffs = {self.z[o]: ONE for o in orders if o.index(p) < o.index(q)}
+                coeffs[self.y[(p, q)]] = -ONE
+                model.add_eq(coeffs, ZERO)
+            model.add_eq({self.z[o]: ONE for o in orders}, ONE)
 
         for v in self.P:
             arcs = self.fv[v]
@@ -440,10 +403,10 @@ class _ReducedLatency:
             for u in self.P:
                 if u == v:
                     continue
-                const, terms = self.pair_expr(u, v)
+                # flow out of u equals x[u,v]
+                const, var, sign = self.pair_expr(u, v)
                 coeffs = {idx: ONE for (a, b), idx in arcs.items() if a == u}
-                for j, c in terms.items():
-                    coeffs[j] = coeffs.get(j, ZERO) - c
+                coeffs[var] = -sign
                 model.add_eq(coeffs, const)
 
         arcs = self.fv[t]
@@ -458,26 +421,19 @@ class _ReducedLatency:
     def order_latency_rows(self):
         """Every prefix-length row that is not trivially satisfied, as
         (key, coeffs, rhs)."""
-        n, s = self.n, self.s
-        d = self.inst.d
+        s, d = self.s, self.inst.d
         rows = []
-        for u in range(n):
-            for w in range(n):
-                if u == w:
-                    continue
-                for v in range(n):
-                    if v in (u, w) or v == s:
-                        continue
-                    const, terms = self.triple_expr(u, w, v)
-                    if const == 0 and not terms:
-                        continue
-                    coef = d[s][u] + d[u][w] + d[w][v]
-                    if coef == 0:
-                        continue
-                    coeffs = {self.lv[v]: ONE}
-                    for j, c in terms.items():
-                        coeffs[j] = coeffs.get(j, ZERO) - coef * c
-                    rows.append(((u, w, v), coeffs, coef * const))
+        for u, w, v in permutations(range(self.n), 3):
+            if v == s:
+                continue
+            const, var, sign = self.triple_expr(u, w, v)
+            coef = d[s][u] + d[u][w] + d[w][v]
+            if coef == 0 or (var is None and const == 0):
+                continue
+            coeffs = {self.lv[v]: ONE}
+            if var is not None:
+                coeffs[var] = -sign * coef
+            rows.append(((u, w, v), coeffs, coef * const))
         return rows
 
     def flow_of(self, values, v):
@@ -490,25 +446,22 @@ class _ReducedLatency:
 
     def violated_cut_rows(self, values):
         out = []
-        n, s = self.n, self.s
         for v in sorted(self.fv):
             flow = self.flow_of(values, v)
             for ynode in self.P:
                 if ynode == v:
                     continue
-                need = self.value(values, self.pair_expr(ynode, v))
+                const, var, sign = expr = self.pair_expr(ynode, v)
+                need = self.value(values, expr)
                 if need <= 0:
                     continue
-                value, cut = max_flow_min_cut(flow, s, ynode, nodes=range(n))
+                value, cut = max_flow_min_cut(flow, self.s, ynode, nodes=range(self.n))
                 if value >= need:
                     continue
-                const, terms = self.pair_expr(ynode, v)
-                coeffs = {}
-                for (a, b), idx in self.fv[v].items():
-                    if a not in cut and b in cut:
-                        coeffs[idx] = ONE
-                for j, c in terms.items():
-                    coeffs[j] = coeffs.get(j, ZERO) - c
+                coeffs = {idx: ONE for (a, b), idx in self.fv[v].items()
+                          if a not in cut and b in cut}
+                if var is not None:
+                    coeffs[var] = -sign
                 out.append(((v, ynode, cut), coeffs, const))
         return out
 
@@ -532,22 +485,13 @@ class _ReducedLatency:
         return self.reconstruct(values_of(sol), sol.objective, rounds)
 
     def reconstruct(self, values, objective, rounds):
-        n, s, t = self.n, self.s, self.t
-        x = {}
-        for u in range(n):
-            for w in range(n):
-                if u != w:
-                    x[(u, w)] = self.value(values, self.pair_expr(u, w))
-        x3 = {}
-        for u in range(n):
-            for v in range(n):
-                for w in range(n):
-                    if len({u, v, w}) == 3:
-                        x3[(u, v, w)] = self.value(values, self.triple_expr(u, v, w))
+        n = self.n
+        x = {k: self.value(values, self.pair_expr(*k)) for k in permutations(range(n), 2)}
+        x3 = {k: self.value(values, self.triple_expr(*k)) for k in permutations(range(n), 3)}
         flows = {v: self.flow_of(values, v) for v in self.fv}
         ell = {v: values[self.lv[v]] for v in self.lv}
         return LatencyLpSolution(
-            n=n, s=s, t=t, x=x, x3=x3, flows=flows, ell=ell,
+            n=n, s=self.s, t=self.t, x=x, x3=x3, flows=flows, ell=ell,
             objective=objective, weighted=self.weighted, rounds=rounds,
         )
 

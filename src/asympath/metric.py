@@ -22,7 +22,8 @@ class MetricInstance:
     d is an n x n matrix of nonnegative rationals with zero diagonal.
     weights, when present, are positive per-node rationals used by the
     weighted latency objective.  Both are stored as Fractions; a float
-    raises TypeError.  The metric itself is checked by validate().
+    raises TypeError; n, s and t must be ints (not bools) or InputError is
+    raised.  The metric itself is checked by validate().
     """
 
     n: int
@@ -32,6 +33,9 @@ class MetricInstance:
     weights: tuple = None
 
     def __post_init__(self):
+        if not all(isinstance(x, int) and not isinstance(x, bool)
+                   for x in (self.n, self.s, self.t)):
+            raise InputError(f"n, s and t must be ints, got {self.n!r}, {self.s!r}, {self.t!r}")
         if self.n < 2:
             raise InputError(f"instance needs at least 2 nodes, got {self.n}")
         if len(self.d) != self.n or any(len(row) != self.n for row in self.d):
@@ -42,9 +46,7 @@ class MetricInstance:
         if self.s == self.t:
             raise InputError("s and t must be distinct")
         if self.weights is not None:
-            if len(self.weights) != self.n:
-                raise InputError("weights length differs from n")
-            object.__setattr__(self, "weights", tuple(map(as_fraction, self.weights)))
+            object.__setattr__(self, "weights", tuple(self.node_weights(self.weights)))
             if any(w <= 0 for w in self.weights):
                 raise InputError("node weights must be positive")
 
@@ -54,6 +56,22 @@ class MetricInstance:
 
     def weight(self, v):
         return self.weights[v] if self.weights is not None else Fraction(1)
+
+    def node_weights(self, weights=None):
+        """Per-node weights as Fractions: the given n of them, else the
+        instance's own."""
+        if weights is None:
+            return [self.weight(v) for v in range(self.n)]
+        if len(weights) != self.n:
+            raise InputError("weights length differs from n")
+        return [as_fraction(w) for w in weights]
+
+    def node_set(self, nodes):
+        """nodes as a set; InputError unless each is one of 0..n-1."""
+        nodes = set(nodes)
+        if not nodes <= set(range(self.n)):
+            raise InputError(f"nodes outside 0..{self.n - 1}: {nodes - set(range(self.n))}")
+        return nodes
 
     def arcs(self):
         for u in range(self.n):
@@ -209,7 +227,7 @@ def induced_subinstance(inst, W, s2, t2):
     of sub-instance node i.  Distances are already metric, so no
     recomputation happens.
     """
-    W = set(W)
+    W = inst.node_set(W)
     if s2 not in W or t2 not in W:
         raise InputError("s2 and t2 must belong to W")
     if s2 == t2:

@@ -3,8 +3,8 @@
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SizeLimitError
-from .rational import as_fraction, common_denominator
+from .errors import InputError, SizeLimitError
+from .rational import common_denominator, scaled_matrix
 
 ZERO = Fraction(0)
 
@@ -23,12 +23,6 @@ class ExactResult:
 
     value: Fraction
     order: list
-
-
-def _scaled(inst):
-    """inst.d as ints over the lcm L of its denominators, and L."""
-    L = common_denominator(x for row in inst.d for x in row)
-    return [[x.numerator * (L // x.denominator) for x in row] for row in inst.d], L
 
 
 def _subset_dp(d, s, t, interior, mult):
@@ -97,7 +91,7 @@ def exact_atspp(inst):
         raise SizeLimitError(f"exact_atspp capped at n <= {ATSPP_CAP}")
     s, t = inst.s, inst.t
     interior = [v for v in range(inst.n) if v not in (s, t)]
-    d, L = _scaled(inst)
+    d, L = scaled_matrix(inst.d)
     value, order = _subset_dp(d, s, t, interior, [1] * (1 << len(interior)))
     return ExactResult(value=Fraction(value, L), order=order)
 
@@ -113,8 +107,7 @@ def exact_latency(inst, weights=None):
         raise SizeLimitError(f"exact_latency capped at n <= {LATENCY_CAP}")
     s, t = inst.s, inst.t
     interior = [v for v in range(inst.n) if v not in (s, t)]
-    w = [as_fraction(weights[v]) if weights is not None else inst.weight(v)
-         for v in range(inst.n)]
+    w = inst.node_weights(weights)
     W = common_denominator(w)
     w = [x.numerator * (W // x.denominator) for x in w]
     # pending[mask]: weight still waiting once the interior subset mask is visited
@@ -122,7 +115,7 @@ def exact_latency(inst, weights=None):
     for mask in range(1, 1 << len(interior)):
         low = mask & -mask
         pending.append(pending[mask ^ low] - w[interior[low.bit_length() - 1]])
-    d, L = _scaled(inst)
+    d, L = scaled_matrix(inst.d)
     value, order = _subset_dp(d, s, t, interior, pending)
     return ExactResult(value=Fraction(value, L * W), order=order)
 
@@ -137,7 +130,7 @@ def exact_k_person(inst, k):
     if inst.n > K_PERSON_CAP:
         raise SizeLimitError(f"exact_k_person capped at n <= {K_PERSON_CAP}")
     if k < 1:
-        raise SizeLimitError("k must be >= 1")
+        raise InputError("k must be >= 1")
     s, t = inst.s, inst.t
     interior = [v for v in range(inst.n) if v not in (s, t)]
     dst = inst.d[s][t]

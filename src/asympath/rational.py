@@ -9,10 +9,11 @@ from math import lcm
 
 
 def as_fraction(value):
-    """Coerce an int, Fraction, or "p/q" string to an exact Fraction."""
+    """Coerce an int, Fraction, or "p/q" string to an exact Fraction; a
+    float or a bool raises TypeError."""
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         return Fraction(value)
@@ -48,6 +49,13 @@ def common_denominator(values):
     x.numerator * (L // x.denominator); a float raises TypeError.
     """
     return lcm(1, *(as_fraction(x).denominator for x in values))
+
+
+def scaled_matrix(rows):
+    """A matrix of exact values as ints over the lcm L of their
+    denominators: returns (int rows, L)."""
+    L = common_denominator(x for row in rows for x in row)
+    return [[x.numerator * (L // x.denominator) for x in row] for row in rows], L
 
 
 def format_rational(value):

@@ -165,6 +165,20 @@ def test_non_metric_input_exits_one(tmp_path, capsys, d):
     assert "path:" not in captured.out
 
 
+@pytest.mark.parametrize("header", [
+    {"n": 3, "s": 0, "t": True},
+    {"n": 3.0, "s": 0, "t": 2},
+    {"n": 3, "s": 0.0, "t": 2},
+])
+def test_bool_or_float_n_s_t_exits_one(tmp_path, capsys, header):
+    inst_file = tmp_path / "bad.json"
+    inst_file.write_text(json.dumps({**header, "d": [[0, 1, 1], [1, 0, 1], [1, 1, 0]]}))
+    assert main(["atspp", "--in", str(inst_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert "path:" not in captured.out
+
+
 def test_unweighted_latency_on_weighted_file(tmp_path, capsys):
     inst = metric.gen_random(5, seed=4, max_weight=12)
     inst_file = tmp_path / "weighted.json"

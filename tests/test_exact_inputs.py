@@ -1,11 +1,13 @@
-"""Floats are rejected where values enter exact arithmetic; ints and
-"p/q" strings are taken as the exact rationals they name."""
+"""Floats and bools are rejected where values enter exact arithmetic; ints
+and "p/q" strings are taken as the exact rationals they name.  Nodes and
+weight lists that do not fit the instance raise InputError."""
 
 from fractions import Fraction as F
 
 import pytest
 
-from asympath import cover, lp, rational
+from asympath import cover, lp, metric, oracle, rational
+from asympath.errors import InputError
 from asympath.graphs import ArcFlow, max_flow_min_cut
 from asympath.latency import total_latency
 from asympath.metric import MetricInstance, gen_random
@@ -78,11 +80,27 @@ ENTRY_POINTS = {
 
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_float_raises_type_error(entry):
-    with pytest.raises(TypeError):
-        ENTRY_POINTS[entry](0.7)
+    # True is an int to Python, but no rational an input means to give
+    for bad in (0.7, True):
+        with pytest.raises(TypeError):
+            ENTRY_POINTS[entry](bad)
 
 
 @pytest.mark.parametrize("value", ["2/3", 1])
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_exact_value_is_accepted(entry, value):
     assert ENTRY_POINTS[entry](value) == ENTRY_POINTS[entry](F(value))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cover.min_k_path_cycle_cover(INST, {0, 3, 7}, 1),
+    lambda: metric.induced_subinstance(INST, {0, 1, 9}, 0, 1),
+    lambda: total_latency(INST, PATH, weights=[1, 1]),
+    lambda: oracle.exact_latency(INST, weights=[1, 2]),
+    lambda: oracle.exact_k_person(INST, 0),
+], ids=["cover-node", "induced-node", "total-latency-weights", "exact-latency-weights",
+        "k-person-k"])
+def test_misfit_argument_raises_input_error(call):
+    with pytest.raises(InputError) as exc:
+        call()
+    assert type(exc.value) is InputError

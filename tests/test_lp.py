@@ -1,3 +1,7 @@
+import hashlib
+import json
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -5,6 +9,7 @@ import pytest
 from asympath import lp, metric, oracle
 from asympath.errors import DegenerateLatencyError, InputError, InvariantError
 from asympath.graphs import ArcFlow
+from asympath.rational import to_json
 from asympath.simplex import LpModel, SimplexSolver, simplex_solve
 from latency_reference import build_full_latency_lp, solve_latency_lp_reference
 
@@ -186,3 +191,89 @@ class TestNormalize:
         )
         with pytest.raises(DegenerateLatencyError):
             lp.normalize_latencies(broken, inst)
+
+
+def _digest(doc):
+    return hashlib.sha256(json.dumps(to_json(doc)).encode()).hexdigest()[:16]
+
+
+def _pin_instance(n, seed, weighted):
+    inst = metric.gen_random(n, seed=seed, max_weight=100)
+    if weighted:
+        rng = random.Random(seed)
+        inst = replace(inst, weights=[rng.randint(1, 9) for _ in range(n)])
+    return inst
+
+
+# (n, seed, weighted) -> digests of the reduced model, of the cut rows added
+# in each round, and of the full solution, as recorded before the builder of
+# the reduced model was rewritten
+REDUCED_LATENCY_DIGESTS = {
+    (2, 0, False): ('ec6b096f6d4d5201', '4f53cda18c2baa0c', '63e894adbbb497d5'),
+    (2, 0, True): ('fe9536a05f5601c9', '4f53cda18c2baa0c', '0d7e2b945112ecae'),
+    (2, 1, False): ('76f3fa39fce60a22', '4f53cda18c2baa0c', '0222dd69f776d621'),
+    (2, 1, True): ('07feb86d4fdc7cfc', '4f53cda18c2baa0c', 'bd84d4a0a76eb19f'),
+    (2, 2, False): ('0944c1f5f286a03a', '4f53cda18c2baa0c', '649d8e395044a9b0'),
+    (2, 2, True): ('55baca6c632ced24', '4f53cda18c2baa0c', '799d5642b3798d4c'),
+    (3, 0, False): ('00c27f00edf40f99', '4f53cda18c2baa0c', '21290e21ba84d699'),
+    (3, 0, True): ('1b99e43eb13c71d3', '4f53cda18c2baa0c', 'bcb990a5e4680cf1'),
+    (3, 1, False): ('bb1c81a1f7882686', '4f53cda18c2baa0c', '286c5bf94e4a3307'),
+    (3, 1, True): ('3a6ccbfe0cd1db81', '4f53cda18c2baa0c', '95b77f75b2ecde6b'),
+    (3, 2, False): ('3174fff8c6e7eb7f', '4f53cda18c2baa0c', '322d22d2096c69c5'),
+    (3, 2, True): ('ada3f4dd27719f3f', '4f53cda18c2baa0c', '4c47cd09241b5976'),
+    (4, 0, False): ('e4d268f1cbefac02', '4f53cda18c2baa0c', 'cb7f5263cb2c9aa6'),
+    (4, 0, True): ('396978a01dae4827', '4f53cda18c2baa0c', 'a47ee5fc22a5c610'),
+    (4, 1, False): ('53d001678e834ed6', '4f53cda18c2baa0c', '8ee5c5e3509a5276'),
+    (4, 1, True): ('5578a7996dcca0e9', '4f53cda18c2baa0c', '1b4bb6ed81c17b5b'),
+    (4, 2, False): ('6c8d9bd4e2076d8c', '4f53cda18c2baa0c', 'da202e1acf10023d'),
+    (4, 2, True): ('7d4793b6f5ba9914', '4f53cda18c2baa0c', '8a17789f16d174b1'),
+    (5, 0, False): ('0d6533b35670b5e2', '12bc9cf30917d33a', '5ec228dd2c76af20'),
+    (5, 0, True): ('138a97955e885dfa', '7fe443cc474ea227', '506cd923114f4d8f'),
+    (5, 1, False): ('8c303fe70a235e40', 'bb2cf34eaa62d0ba', '8cd36cd547093ba0'),
+    (5, 1, True): ('67c3cf289bec5bff', 'bb2cf34eaa62d0ba', '6474bf12388d9d2c'),
+    (5, 2, False): ('737f7900490f7ca6', '9328ad16bfc0743f', '662a291e0476a4d9'),
+    (5, 2, True): ('897e591495823a19', '9328ad16bfc0743f', '90d7755353abd19e'),
+    (6, 0, False): ('b4113689d2a61737', '368f8a6fb024eb68', '55ae47eb2e211c91'),
+    (6, 0, True): ('91dec82399d76413', '368f8a6fb024eb68', '7af7e45b2920be92'),
+    (6, 1, False): ('b1338f182b6326eb', 'fc6ca2e0d078535a', '11da4765732f4003'),
+    (6, 1, True): ('9fec528513aa4ebf', 'fc6ca2e0d078535a', 'c562d38b9dba596f'),
+    (6, 2, False): ('9d2279349d5612ac', '6ee65f380fcac77c', '90e48aced738cd06'),
+    (6, 2, True): ('05d16a01821fde29', '34b931a0fd093cb7', '732195f06ecb0800'),
+}
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_reduced_latency_model_cuts_and_solution_are_pinned(monkeypatch, n, seed, weighted):
+    inst = _pin_instance(n, seed, weighted)
+    model = lp._ReducedLatency(inst, weighted=weighted).model
+    rounds = []
+    add_ge_cut, reoptimize = SimplexSolver.add_ge_cut, SimplexSolver.reoptimize
+
+    def record_cut(solver, coeffs, rhs):
+        if not rounds or rounds[-1] is None:
+            rounds.append([])
+        rounds[-1].append([sorted((solver.model.names[j], c) for j, c in coeffs.items()),
+                           rhs])
+        return add_ge_cut(solver, coeffs, rhs)
+
+    def record_round(solver):
+        rounds.append(None)
+        return reoptimize(solver)
+
+    monkeypatch.setattr(SimplexSolver, "add_ge_cut", record_cut)
+    monkeypatch.setattr(SimplexSolver, "reoptimize", record_round)
+    sol = lp.solve_latency_lp(inst, weighted=weighted)
+    solution = {
+        "x": sorted(sol.x.items()),
+        "x3": sorted(sol.x3.items()),
+        "flows": sorted((v, sorted(f.items())) for v, f in sol.flows.items()),
+        "ell": sorted(sol.ell.items()),
+        "objective": sol.objective,
+        "rounds": sol.rounds,
+    }
+    got = (_digest([model.names, model.to_jsonable()]),
+           _digest([r for r in rounds if r is not None]),
+           _digest(solution))
+    assert got == REDUCED_LATENCY_DIGESTS[(n, seed, weighted)]
