@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cover import min_k_path_cycle_cover
-from .errors import CheckLog, ContractError, InputError, InvariantError
+from .errors import CheckLog, ContractError, InvariantError, require_count
 from .graphs import (
     ArcFlow,
     decompose_flow,
@@ -24,6 +24,7 @@ from .graphs import (
     reachability,
     shortcut,
     topological_order,
+    weak_components,
 )
 from .rational import ceil_log2_int, to_json
 
@@ -70,39 +71,6 @@ class HamPath:
     cost: Fraction
 
 
-def _component_split(arc_counter):
-    """Connected components (on the undirected support) of an arc multiset.
-
-    Returns a list of Counters, ordered by smallest member node.
-    """
-    nodes = set()
-    neigh = {}
-    for (u, v), c in arc_counter.items():
-        if c <= 0:
-            continue
-        nodes.update((u, v))
-        neigh.setdefault(u, set()).add(v)
-        neigh.setdefault(v, set()).add(u)
-    comps = []
-    seen = set()
-    for root in sorted(nodes):
-        if root in seen:
-            continue
-        comp_nodes = {root}
-        stack = [root]
-        while stack:
-            x = stack.pop()
-            for y in neigh[x]:
-                if y not in comp_nodes:
-                    comp_nodes.add(y)
-                    stack.append(y)
-        seen |= comp_nodes
-        comps.append(Counter({
-            (u, v): c for (u, v), c in arc_counter.items() if u in comp_nodes and c > 0
-        }))
-    return comps
-
-
 def run_cover_loop(inst, k, iterations):
     """Execute the cover-contract loop and return its final state.
 
@@ -121,16 +89,7 @@ def run_cover_loop(inst, k, iterations):
         cover = min_k_path_cycle_cover(inst, state.W, k)
         state.cover_costs.append(cover.cost)
 
-        arcs = state.arc_multiset()
-        for p in cover.paths:
-            arcs.update(zip(p, p[1:]))
-        for cyc in cover.cycles:
-            arcs.update(zip(cyc, cyc[1:] + cyc[:1]))
-
-        flow = ArcFlow(
-            {arc: Fraction(c) for arc, c in arcs.items() if c}
-        )
-        decomp = decompose_flow(flow, s, t)
+        decomp = decompose_flow(ArcFlow(state.arc_multiset() + cover.arcs()), s, t)
 
         new_paths = []
         for p, amt in decomp.paths:
@@ -150,11 +109,9 @@ def run_cover_loop(inst, k, iterations):
             "components": [],
         }
 
-        for comp in _component_split(cycle_arcs):
-            comp_nodes = set()
+        for comp_nodes, comp in weak_components(cycle_arcs):
             indeg = Counter()
-            for (u, v), c in comp.items():
-                comp_nodes.update((u, v))
+            for (_, v), c in comp.items():
                 indeg[v] += c
             state.check("component-avoids-endpoints",
                         s not in comp_nodes and t not in comp_nodes,
@@ -203,11 +160,7 @@ def run_cover_loop(inst, k, iterations):
 def _splice_components(paths, state):
     """Insert every contracted cycle back into the path holding its
     representative.  Each component must share exactly one node with W."""
-    for comp in _component_split(state.H):
-        comp_nodes = set()
-        for (u, v), c in comp.items():
-            if c:
-                comp_nodes.update((u, v))
+    for comp_nodes, comp in weak_components(state.H):
         shared = comp_nodes & state.W
         state.check("single-shared-splice-node", len(shared) == 1,
                     f"component {sorted(comp_nodes)} shares {sorted(shared)}")
@@ -231,12 +184,11 @@ def solve_atspp(inst, iterations=None):
     arc), splices contracted cycles back in, and shortcuts.  Returns
     (HamPath, state) where state carries the full per-iteration trace.
     """
-    if inst.n < 2:
-        raise InputError("need n >= 2")
     n, s, t = inst.n, inst.s, inst.t
-    T = iterations if iterations is not None else 2 * ceil_log2_int(n) + 1
-    if T < 1:
-        raise InputError("iteration count must be positive")
+    if iterations is None:
+        T = 2 * ceil_log2_int(n) + 1
+    else:
+        T = require_count(iterations, "iterations")
     state = run_cover_loop(inst, 1, T)
 
     arcs = state.arc_multiset()
@@ -269,10 +221,7 @@ def multipath_cover(inst, k):
     then tours the union of all covers plus k*T virtual t->s returns and
     splits it at the returns.
     """
-    if k < 1:
-        raise InputError("k must be >= 1")
-    if inst.n < 2:
-        raise InputError("need n >= 2")
+    require_count(k, "k")
     n, s, t = inst.n, inst.s, inst.t
     if n == 2:
         return [[s, t] for _ in range(k)]
@@ -295,12 +244,7 @@ def multipath_cover(inst, k):
             raise InvariantError("interior of W did not halve")
         W = keep
 
-    arcs = Counter()
-    for cover in covers:
-        for p in cover.paths:
-            arcs.update(zip(p, p[1:]))
-        for cyc in cover.cycles:
-            arcs.update(zip(cyc, cyc[1:] + cyc[:1]))
+    arcs = sum((cover.arcs() for cover in covers), Counter())
     dummies = k * rounds
     arcs[(t, s)] += dummies
 
@@ -344,10 +288,7 @@ def solve_k_person(inst, k, diagnostics=False):
     arcs, pads with plain s-t paths, and splices contracted cycles in.
     Returns ((paths, total_cost), state).
     """
-    if k < 1:
-        raise InputError("k must be >= 1")
-    if inst.n < 2:
-        raise InputError("need n >= 2")
+    require_count(k, "k")
     n, s, t = inst.n, inst.s, inst.t
     T = (k + 1) * ceil_log2_int(n) + 1
     state = run_cover_loop(inst, k, T)

@@ -3,10 +3,11 @@ rounding step that turns a feasible point of the relaxed cut LP (alpha >
 1/2) into a fractional solution of the unit-coverage path LP.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ContractError, InputError, InvariantError
+from .errors import ContractError, InputError, InvariantError, require_count
 from .graphs import ArcFlow, decompose_flow, min_cost_perfect_matching, topological_order
 from .lp import flow_alpha_violations
 from .rational import as_fraction
@@ -23,6 +24,15 @@ class KPathCycleCover:
     cycles: list
     cost: Fraction
 
+    def arcs(self):
+        """The arc multiset: each path's arcs, then each closed cycle's."""
+        arcs = Counter()
+        for p in self.paths:
+            arcs.update(zip(p, p[1:]))
+        for c in self.cycles:
+            arcs.update(zip(c, c[1:] + c[:1]))
+        return arcs
+
 
 def min_k_path_cycle_cover(inst, W, k):
     """Cheapest k-path-cycle cover of W by reduction to an assignment problem.
@@ -30,8 +40,7 @@ def min_k_path_cycle_cover(inst, W, k):
     s gets k out-slots and t k in-slots, every other node of W one of
     each; a perfect matching of slots is exactly a k-path-cycle cover.
     """
-    if k < 1:
-        raise InputError("k must be >= 1")
+    require_count(k, "k")
     W = sorted(inst.node_set(W))
     s, t = inst.s, inst.t
     if s not in W or t not in W or len(W) < 2:
@@ -74,11 +83,10 @@ def min_k_path_cycle_cover(inst, W, k):
 
     if used != set(W):
         raise InvariantError("matching arcs failed to cover W", state=arcs)
-    check = sum((d[u][v] for p in paths for u, v in zip(p, p[1:])), ZERO)
-    check += sum((d[u][v] for c in cycles for u, v in zip(c, c[1:] + c[:1])), ZERO)
-    if check != total:
+    cover = KPathCycleCover(paths=paths, cycles=cycles, cost=total)
+    if sum((d[u][v] for u, v in cover.arcs().elements()), ZERO) != total:
         raise InvariantError("cover cost disagrees with matching cost")
-    return KPathCycleCover(paths=paths, cycles=cycles, cost=total)
+    return cover
 
 
 def strengthen_fractional_cover(x, alpha, inst, W):

@@ -1,5 +1,6 @@
-"""Exception types shared across the package, and the check log whose
-failures raise InvariantError."""
+"""Exception types shared across the package, the count check whose
+failures raise InputError, and the check log whose failures raise
+InvariantError."""
 
 
 class SolverError(Exception):
@@ -8,6 +9,13 @@ class SolverError(Exception):
 
 class InputError(SolverError):
     """Malformed or out-of-range arguments (bad matrix shape, k < 1, ...)."""
+
+
+def require_count(value, name):
+    """value if it is an int >= 1 (a bool is not); else InputError."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise InputError(f"{name} must be an int >= 1, got {value!r}")
+    return value
 
 
 class SizeLimitError(InputError):

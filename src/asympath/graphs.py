@@ -438,6 +438,37 @@ def topological_order(arcs, nodes):
     return order
 
 
+def weak_components(arcs):
+    """Components of the undirected support of an arc multiset.
+
+    arcs maps (u, v) to a multiplicity; arcs whose multiplicity is not
+    positive are ignored.  Returns (node set, Counter of the component's
+    arcs) pairs ordered by smallest node.
+    """
+    neigh = {}
+    for (u, v), c in arcs.items():
+        if c > 0:
+            neigh.setdefault(u, set()).add(v)
+            neigh.setdefault(v, set()).add(u)
+    comps = []
+    comp_of = {}  # node -> the Counter of its component's arcs
+    for root in sorted(neigh):
+        if root in comp_of:
+            continue
+        nodes, comp = {root}, Counter()
+        stack = [root]
+        while stack:
+            for y in neigh[stack.pop()] - nodes:
+                nodes.add(y)
+                stack.append(y)
+        comp_of.update(dict.fromkeys(nodes, comp))
+        comps.append((nodes, comp))
+    for arc, c in arcs.items():
+        if c > 0:
+            comp_of[arc[0]][arc] = c
+    return comps
+
+
 def euler_tour(arcs, start):
     """Closed walk from start using each arc of the multiset exactly once.
 
@@ -470,19 +501,7 @@ def euler_tour(arcs, start):
     if start not in support:
         raise InputError(f"start node {start} carries no arcs")
 
-    undirected = {u: set() for u in support}
-    for u, v in multi:
-        undirected[u].add(v)
-        undirected[v].add(u)
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        u = queue.popleft()
-        for v in undirected[u]:
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    if seen != support:
+    if len(weak_components(multi)) > 1:
         raise ContractError("arc multiset support is disconnected")
 
     adj = {u: deque() for u in support}

@@ -102,8 +102,6 @@ def solve_latency(inst, weighted=False):
     Requires strictly positive off-diagonal distances (zero distances
     would produce zero fractional latencies and break the bucketing).
     """
-    if inst.n < 2:
-        raise InputError("need n >= 2")
     n, s, t = inst.n, inst.s, inst.t
     for u in range(n):
         for v in range(n):

@@ -418,23 +418,26 @@ class _ReducedLatency:
 
     # lazy constraint families ------------------------------------------
 
-    def order_latency_rows(self):
-        """Every prefix-length row that is not trivially satisfied, as
-        (key, coeffs, rhs)."""
+    def violated_order_rows(self, values):
+        """The prefix-length rows l_v >= (d_su + d_uw + d_wv) x3[u,w,v] that
+        values violate, as (key, coeffs, rhs)."""
         s, d = self.s, self.inst.d
-        rows = []
+        out = []
         for u, w, v in permutations(range(self.n), 3):
             if v == s:
                 continue
-            const, var, sign = self.triple_expr(u, w, v)
+            const, var, sign = expr = self.triple_expr(u, w, v)
+            order = self.value(values, expr)
+            if not order:  # l_v >= 0 holds already
+                continue
             coef = d[s][u] + d[u][w] + d[w][v]
-            if coef == 0 or (var is None and const == 0):
+            if values[self.lv[v]] >= coef * order:
                 continue
             coeffs = {self.lv[v]: ONE}
             if var is not None:
                 coeffs[var] = -sign * coef
-            rows.append(((u, w, v), coeffs, coef * const))
-        return rows
+            out.append(((u, w, v), coeffs, coef * const))
+        return out
 
     def flow_of(self, values, v):
         f = ArcFlow()
@@ -467,22 +470,14 @@ class _ReducedLatency:
 
     def solve(self):
         """Cutting-plane optimum, reconstructed over the full variable set."""
-        order_rows = self.order_latency_rows()
-
-        def values_of(sol):
-            return [sol.values[name] for name in self.model.names]
-
         def separate(sol):
-            values = values_of(sol)
-            violated = [
-                (key, coeffs, rhs) for key, coeffs, rhs in order_rows
-                if sum((values[j] * c for j, c in coeffs.items()), ZERO) < rhs
-            ]
-            return violated + self.violated_cut_rows(values)
+            # sol.values is keyed by name in column order
+            values = list(sol.values.values())
+            return self.violated_order_rows(values) + self.violated_cut_rows(values)
 
         sol, rounds = _cutting_planes(SimplexSolver(self.model), separate, self.n,
                                       "latency relaxation")
-        return self.reconstruct(values_of(sol), sol.objective, rounds)
+        return self.reconstruct(list(sol.values.values()), sol.objective, rounds)
 
     def reconstruct(self, values, objective, rounds):
         n = self.n
@@ -502,8 +497,6 @@ def solve_latency_lp(inst, weighted=False):
     The returned solution is reconstructed over the full variable set and
     every constraint family is re-verified exactly before returning.
     """
-    if inst.n < 2:
-        raise InputError("latency LP needs n >= 2")
     full = _ReducedLatency(inst, weighted=weighted).solve()
     bad = full.verify(inst)
     if bad:

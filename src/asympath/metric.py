@@ -129,7 +129,10 @@ def metric_closure(n, arcs, s, t, weights=None):
     if n < 2:
         raise InputError("metric_closure needs n >= 2")
     exact = {}
+    nodes = range(n)
     for (u, v), w in arcs.items():
+        if u not in nodes or v not in nodes:
+            raise InputError(f"arc ({u}, {v}) has an endpoint outside 0..{n - 1}")
         if u == v:
             continue
         w = as_fraction(w)

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InputError, SizeLimitError
+from .errors import SizeLimitError, require_count
 from .rational import common_denominator, scaled_matrix
 
 ZERO = Fraction(0)
@@ -129,8 +129,7 @@ def exact_k_person(inst, k):
     """
     if inst.n > K_PERSON_CAP:
         raise SizeLimitError(f"exact_k_person capped at n <= {K_PERSON_CAP}")
-    if k < 1:
-        raise InputError("k must be >= 1")
+    require_count(k, "k")
     s, t = inst.s, inst.t
     interior = [v for v in range(inst.n) if v not in (s, t)]
     dst = inst.d[s][t]

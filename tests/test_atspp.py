@@ -1,10 +1,13 @@
+import hashlib
+import json
+import random
 from fractions import Fraction
 
 import pytest
 
 from asympath import atspp, lp, metric, oracle
 from asympath.errors import InputError
-from asympath.rational import ceil_log2_int
+from asympath.rational import ceil_log2_int, to_json
 
 F = Fraction
 
@@ -120,3 +123,81 @@ class TestKPerson:
         (paths, total), _ = atspp.solve_k_person(inst, 2)
         best = oracle.exact_k_person(inst, 2).value
         assert total >= best
+
+
+def _digest(doc):
+    return hashlib.sha256(json.dumps(to_json(doc)).encode()).hexdigest()[:16]
+
+
+def _mixed_closure():
+    """Closure of a random digraph with mixed denominators and a zero arc;
+    s and t are interior indices."""
+    rng = random.Random(0)
+    n = 9
+    arcs = {(u, v): F(rng.randint(1, 40), rng.choice([1, 2, 3, 5, 7, 12]))
+            for u in range(n) for v in range(n) if u != v}
+    arcs[(1, 2)] = 0
+    return metric.metric_closure(n, arcs, 3, 6)
+
+
+def _cover_layer(inst):
+    hp, state = atspp.solve_atspp(inst)
+    doc = [hp.nodes, hp.cost, state.to_jsonable()]
+    for k in (1, 2, 3):
+        (paths, total), kstate = atspp.solve_k_person(inst, k, diagnostics=True)
+        doc.append([paths, total, kstate.to_jsonable()])
+        doc.append(atspp.multipath_cover(inst, k))
+    return doc
+
+
+# (n, max_weight) -> digest of solve_atspp, solve_k_person (k = 1..3, with
+# diagnostics) and multipath_cover (k = 1..3) over seeds 0..3, as recorded
+# before the cover loop was rewritten around one arc-multiset vocabulary
+COVER_LAYER_DIGESTS = {
+    (2, 7): '101f9b7ceb5b3442',
+    (2, 50): 'd54e0c0ebc25812e',
+    (2, 100): '27355de6d1ad8e6c',
+    (3, 7): '2c58336d8a142377',
+    (3, 50): 'c8b36ce1be54b61b',
+    (3, 100): '8b0080de62243d4d',
+    (4, 7): '3631f0400c3eb512',
+    (4, 50): 'f7866323a8cde08e',
+    (4, 100): 'c5538a1863399812',
+    (5, 7): 'd7804d6b33496648',
+    (5, 50): '8cb33d5624a99554',
+    (5, 100): '0b5d5ad3787f6e7d',
+    (6, 7): '46f2e4998968c03e',
+    (6, 50): '0b0608ce50b4f435',
+    (6, 100): '27c9f685ba5ffd5f',
+    (7, 7): '2c3383124ef5363f',
+    (7, 50): 'ac15625059a1928c',
+    (7, 100): 'b415a1dd40f03153',
+    (8, 7): '68d05ba6eefa59b1',
+    (8, 50): '0a94365e43545fde',
+    (8, 100): '52900b76a5ab7a40',
+    (9, 7): 'a560e6ec0ba6de9c',
+    (9, 50): 'c1c1826bd13e65b7',
+    (9, 100): 'be2dfeeeaa9419ab',
+    (10, 7): 'd4f46252c80c6b33',
+    (10, 50): 'e55d20a36e2d6d0a',
+    (10, 100): '7039150281c2f175',
+    (11, 7): 'db9578759d35190c',
+    (11, 50): '179adb10ba159ac9',
+    (11, 100): '91ad899516ca95ec',
+    (12, 7): '1d40b525573d0357',
+    (12, 50): '38af29a3174b9632',
+    (12, 100): 'b49407c18ad62304',
+}
+MIXED_CLOSURE_DIGEST = '5be2cadbc52dbd80'
+
+
+@pytest.mark.parametrize("max_weight", [7, 50, 100])
+@pytest.mark.parametrize("n", range(2, 13))
+def test_cover_layer_is_pinned(n, max_weight):
+    doc = [_cover_layer(metric.gen_random(n, seed=seed, max_weight=max_weight))
+           for seed in range(4)]
+    assert _digest(doc) == COVER_LAYER_DIGESTS[(n, max_weight)]
+
+
+def test_cover_layer_on_mixed_denominators_is_pinned():
+    assert _digest(_cover_layer(_mixed_closure())) == MIXED_CLOSURE_DIGEST

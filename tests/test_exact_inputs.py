@@ -1,12 +1,13 @@
 """Floats and bools are rejected where values enter exact arithmetic; ints
-and "p/q" strings are taken as the exact rationals they name.  Nodes and
-weight lists that do not fit the instance raise InputError."""
+and "p/q" strings are taken as the exact rationals they name.  Nodes, arcs
+and weight lists that do not fit the instance, and path or iteration counts
+that are not ints of at least 1, raise InputError."""
 
 from fractions import Fraction as F
 
 import pytest
 
-from asympath import cover, lp, metric, oracle, rational
+from asympath import atspp, cover, lp, metric, oracle, rational
 from asympath.errors import InputError
 from asympath.graphs import ArcFlow, max_flow_min_cut
 from asympath.latency import total_latency
@@ -98,8 +99,17 @@ def test_exact_value_is_accepted(entry, value):
     lambda: total_latency(INST, PATH, weights=[1, 1]),
     lambda: oracle.exact_latency(INST, weights=[1, 2]),
     lambda: oracle.exact_k_person(INST, 0),
+    lambda: oracle.exact_k_person(INST, True),
+    lambda: cover.min_k_path_cycle_cover(INST, range(INST.n), 1.5),
+    lambda: atspp.multipath_cover(INST, True),
+    lambda: atspp.solve_k_person(INST, 1.5),
+    lambda: atspp.solve_atspp(INST, iterations=2.5),
+    lambda: metric.metric_closure(3, {(0, 1): 5, (1, 2): 5, (2, 0): 5, (-1, 0): 1}, 0, 2),
+    lambda: metric.metric_closure(3, {(0, 1): 5, (1, 2): 5, (2, 0): 5, (0, 5): 1}, 0, 2),
 ], ids=["cover-node", "induced-node", "total-latency-weights", "exact-latency-weights",
-        "k-person-k"])
+        "k-person-k", "k-person-bool-k", "cover-float-k", "multipath-bool-k",
+        "solve-k-person-float-k", "atspp-float-iterations", "closure-negative-node",
+        "closure-node-past-n"])
 def test_misfit_argument_raises_input_error(call):
     with pytest.raises(InputError) as exc:
         call()

@@ -222,6 +222,16 @@ class TestEulerTour:
         assert Counter(tour) == arcs
 
 
+def test_weak_components_by_smallest_node_without_nonpositive_arcs():
+    arcs = Counter({(5, 3): 1, (3, 5): 2, (4, 1): 1, (1, 6): 1, (6, 4): 1,
+                    (0, 2): 0, (2, 7): -1, (7, 4): 0})
+    assert graphs.weak_components(arcs) == [
+        ({1, 4, 6}, Counter({(4, 1): 1, (1, 6): 1, (6, 4): 1})),
+        ({3, 5}, Counter({(5, 3): 1, (3, 5): 2})),
+    ]
+    assert graphs.weak_components(Counter()) == []
+
+
 class TestShortcut:
     def test_drops_later_copies(self):
         assert graphs.shortcut([0, 1, 2, 3, 4, 3, 5]) == [0, 1, 2, 3, 4, 5]
