@@ -17,7 +17,6 @@ from fractions import Fraction
 from .cover import min_k_path_cycle_cover
 from .errors import CheckLog, ContractError, InvariantError, require_count
 from .graphs import (
-    ArcFlow,
     decompose_flow,
     euler_tour,
     max_bipartite_matching,
@@ -89,7 +88,7 @@ def run_cover_loop(inst, k, iterations):
         cover = min_k_path_cycle_cover(inst, state.W, k)
         state.cover_costs.append(cover.cost)
 
-        decomp = decompose_flow(ArcFlow(state.arc_multiset() + cover.arcs()), s, t)
+        decomp = decompose_flow(state.arc_multiset() + cover.arcs(), s, t)
 
         new_paths = []
         for p, amt in decomp.paths:
@@ -202,10 +201,7 @@ def solve_atspp(inst, iterations=None):
 
     paths = _splice_components([list(order)], state)
     final = shortcut(paths[0])
-    state.check("hamiltonian-output",
-                final[0] == s and final[-1] == t
-                and set(final) == set(range(n)) and len(final) == n,
-                f"path {final}")
+    state.check("hamiltonian-output", inst.is_st_order(final), f"path {final}")
     cost = inst.path_cost(final)
     total_cover = sum(state.cover_costs, ZERO)
     state.check("cost-below-cover-total", cost <= total_cover,

@@ -347,7 +347,9 @@ def _find_cycle(succ):
 
 
 def decompose_flow(flow, s, t):
-    """Split a flow into cycles plus s-t paths whose union is acyclic.
+    """Split a flow (an ArcFlow, or a Counter of int arc amounts) into
+    cycles plus s-t paths whose union is acyclic; a self-loop or an amount
+    that is not positive raises InputError.
 
     Cycles are peeled first (each subtracts the minimum arc value on a
     deterministically-chosen cycle); the acyclic remainder then splits
@@ -361,11 +363,13 @@ def decompose_flow(flow, s, t):
     work, succ, balance = {}, {}, Counter()  # balance: out minus in
     for (u, v), amt in flow.items():
         work[(u, v)] = amt = amt.numerator * (L // amt.denominator)
+        if u == v or amt <= 0:
+            raise InputError(f"arc ({u},{v}) must join two nodes and carry a positive amount")
         succ.setdefault(u, set()).add(v)
         succ.setdefault(v, set())
         balance[u] += amt
         balance[v] -= amt
-    for u in flow.nodes():
+    for u in {x for arc in work for x in arc}:
         if u not in (s, t) and balance[u]:
             raise ContractError(f"flow imbalance at interior node {u}")
     if balance[s] != -balance[t] or balance[s] < 0:

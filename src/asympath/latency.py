@@ -78,13 +78,7 @@ def append(route, path, inst):
 
 def total_latency(inst, order, weights=None):
     """Exact (weighted) total latency of a Hamiltonian s-t order."""
-    n, s, t = inst.n, inst.s, inst.t
-    if (
-        len(order) != n
-        or order[0] != s
-        or order[-1] != t
-        or set(order) != set(range(n))
-    ):
+    if not inst.is_st_order(order):
         raise InputError("order must visit every node exactly once, s first, t last")
     w = inst.node_weights(weights)
     total = ZERO
@@ -103,38 +97,36 @@ def solve_latency(inst, weighted=False):
     would produce zero fractional latencies and break the bucketing).
     """
     n, s, t = inst.n, inst.s, inst.t
-    for u in range(n):
-        for v in range(n):
-            if u != v and inst.d[u][v] <= 0:
-                raise DegenerateLatencyError(
-                    f"distance ({u},{v}) must be positive for the latency solver")
-
-    def node_weight(u):
-        return inst.weight(u) if weighted else ONE
-
-    def bucket_weight(nodes):
-        return sum((node_weight(v) for v in nodes), ZERO)
-
-    state = BucketState()
-    lp_sol = solve_latency_lp(inst, weighted=weighted)
-    floored, sigma = normalize_latencies(lp_sol, inst)
-    state.sigma = sigma
-    state.lp_objective = lp_sol.objective
-    state.floored_objective = floored.objective
+    for u, v in inst.arcs():
+        if inst.d[u][v] <= 0:
+            raise DegenerateLatencyError(
+                f"distance ({u},{v}) must be positive for the latency solver")
+    w = inst.node_weights() if weighted else [ONE] * n
     log_n = ceil_log2_int(n)
 
+    def weight(nodes):
+        return sum((w[v] for v in nodes), ZERO)
+
+    def within(nodes, end):
+        """Sub-instance on nodes from s to end, and its paths mapped back."""
+        sub, back = induced_subinstance(inst, nodes, s, end)
+        return sub, lambda path: [back[v] for v in path]
+
+    lp_sol = solve_latency_lp(inst, weighted=weighted)
+    floored, sigma = normalize_latencies(lp_sol, inst)
+    state = BucketState(sigma=sigma, lp_objective=lp_sol.objective,
+                        floored_objective=floored.objective)
+
+    def at_most(name, value, bound, where):
+        state.check(name, value <= bound, f"{where} {value} vs {bound}")
+
     elln = {v: floored.ell[v] * sigma for v in floored.ell}
-    state.normalized = {
-        "min": min(elln.values()),
-        "max": max(elln.values()),
-        "growth_bound": (ONE + Fraction(1, n)) * lp_sol.objective,
-    }
-    state.check("normalization-floor", min(elln.values()) == ONE,
-                f"min normalized latency {min(elln.values())}")
-    state.check("normalization-spread", max(elln.values()) <= n * n,
-                f"max normalized latency {max(elln.values())} vs {n * n}")
-    state.check("normalization-growth",
-                floored.objective <= (ONE + Fraction(1, n)) * lp_sol.objective,
+    lo, hi = min(elln.values()), max(elln.values())
+    growth = (ONE + Fraction(1, n)) * lp_sol.objective
+    state.normalized = {"min": lo, "max": hi, "growth_bound": growth}
+    state.check("normalization-floor", lo == ONE, f"min normalized latency {lo}")
+    at_most("normalization-spread", hi, n * n, "max normalized latency")
+    state.check("normalization-growth", floored.objective <= growth,
                 f"floored {floored.objective} vs bound")
 
     g = floor_log2(elln[t]) + 1
@@ -150,33 +142,33 @@ def solve_latency(inst, weighted=False):
         buckets[i].add(v)
     state.initial_buckets = {i: set(vs) for i, vs in buckets.items()}
 
-    init_weight = {i: bucket_weight(vs) for i, vs in buckets.items()}
-    lower = sum((init_weight[i] * Fraction(2) ** (i - 1) for i in buckets), ZERO)
-    normalized_obj = sum((node_weight(v) * val for v, val in elln.items()), ZERO)
+    pow2 = {i: Fraction(2) ** i for i in range(g + 1)}
+    lower = sum((weight(vs) * pow2[i - 1] for i, vs in buckets.items()), ZERO)
+    normalized_obj = sum((w[v] * val for v, val in elln.items()), ZERO)
     state.check("bucket-lower-bound", normalized_obj >= lower,
                 f"normalized objective {normalized_obj} vs {lower}")
 
     x = floored.x
     route = [s]
-    pow2 = {i: Fraction(2) ** i for i in range(g + 1)}
 
     for i in range(1, g):
         start_members = sorted(buckets[i])
-        start_weight = bucket_weight(buckets[i])
+        start_weight = weight(buckets[i])
         for j in (1, 2):
             if not buckets[i]:
                 continue
             members = sorted(buckets[i])
+            at = f"scale {i} pass {j}:"
 
             def fans(v):
                 return [u for u in members if u != v and x[(u, v)] >= Fraction(1, 2)]
 
-            pivot = max(members, key=lambda v: (bucket_weight(fans(v)), -v))
+            pivot = max(members, key=lambda v: (weight(fans(v)), -v))
             b_set = set(fans(pivot))
-            cur_weight = bucket_weight(buckets[i])
-            got = bucket_weight(b_set) + node_weight(pivot)
+            cur_weight = weight(buckets[i])
+            got = weight(b_set) + w[pivot]
             state.check("pivot-coverage", 2 * got >= cur_weight,
-                        f"scale {i} pass {j}: captured {got} of {cur_weight}")
+                        f"{at} captured {got} of {cur_weight}")
 
             threshold = Fraction(2, 3) + Fraction(2 * i - 2 + j, 24 * log_n)
             a_set = {u for u in range(n) if u != pivot and x[(u, pivot)] >= threshold}
@@ -189,38 +181,28 @@ def solve_latency(inst, weighted=False):
                 "B": sorted(b_set),
             }
 
-            a_nodes = a_set | {s, pivot}
-            sub_a, map_a = induced_subinstance(inst, a_nodes, s, pivot)
-            hp, inner = solve_atspp(sub_a)
-            path_a = [map_a[v] for v in hp.nodes]
+            sub, lift = within(a_set | {s, pivot}, pivot)
+            hp, inner = solve_atspp(sub)
             for cc in inner.cover_costs:
-                state.check("pivot-path-cover-cost",
-                            sigma * cc <= 9 * pow2[i],
-                            f"scale {i} pass {j}: cover {sigma * cc} vs {9 * pow2[i]}")
-            len_budget = (2 * ceil_log2_int(len(a_nodes)) + 1) * 9 * pow2[i]
-            state.check("pivot-path-length", sigma * hp.cost <= len_budget,
-                        f"scale {i} pass {j}: length {sigma * hp.cost} vs {len_budget}")
-            route, hop = append(route, path_a, inst)
+                at_most("pivot-path-cover-cost", sigma * cc, 9 * pow2[i], f"{at} cover")
+            at_most("pivot-path-length", sigma * hp.cost,
+                    (2 * ceil_log2_int(sub.n) + 1) * 9 * pow2[i], f"{at} length")
+            route, hop = append(route, lift(hp.nodes), inst)
             step["pivot_path_hop"] = hop
-            state.check("strong-append", sigma * hop <= 24 * log_n * pow2[i],
-                        f"scale {i} pass {j}: hop {sigma * hop} vs {24 * log_n * pow2[i]}")
+            at_most("strong-append", sigma * hop, 24 * log_n * pow2[i], f"{at} hop")
 
-            b_nodes = b_set | {s, pivot}
-            sub_b, map_b = induced_subinstance(inst, b_nodes, s, pivot)
-            family = [[map_b[v] for v in p] for p in multipath_cover(sub_b, 2)]
-            state.check("family-size",
-                        len(family) <= 2 * ceil_log2_int(len(b_nodes)),
-                        f"scale {i} pass {j}: {len(family)} paths")
+            sub, lift = within(b_set | {s, pivot}, pivot)
+            family = [lift(p) for p in multipath_cover(sub, 2)]
+            state.check("family-size", len(family) <= 2 * ceil_log2_int(sub.n),
+                        f"{at} {len(family)} paths")
             family_cost = sum((inst.path_cost(p) for p in family), ZERO)
-            state.check("family-length", sigma * family_cost <= 2 * log_n * pow2[i],
-                        f"scale {i} pass {j}: total {sigma * family_cost} "
-                        f"vs {2 * log_n * pow2[i]}")
+            at_most("family-length", sigma * family_cost, 2 * log_n * pow2[i],
+                    f"{at} total")
             hops = []
             for p in family:
                 route, hop = append(route, p, inst)
                 hops.append(hop)
-                state.check("family-append", sigma * hop <= 6 * pow2[i],
-                            f"scale {i} pass {j}: hop {sigma * hop} vs {6 * pow2[i]}")
+                at_most("family-append", sigma * hop, 6 * pow2[i], f"{at} hop")
             step["family_hops"] = hops
             step["family_cost"] = family_cost
             step["pivot_path_cost"] = hp.cost
@@ -228,29 +210,23 @@ def solve_latency(inst, weighted=False):
 
             buckets[i] -= a_set | b_set | {pivot}
 
-        end_members = sorted(buckets[i])
-        end_weight = bucket_weight(buckets[i])
+        end_weight = weight(buckets[i])
         state.shrink.append({
             "i": i,
             "start": start_members,
-            "end": end_members,
+            "end": sorted(buckets[i]),
         })
         state.check("quarter-shrink", 4 * end_weight <= start_weight,
                     f"scale {i}: {end_weight} of {start_weight} left")
         buckets[i + 1] |= buckets[i]
         buckets[i] = set()
 
-    leftovers = set(range(n)) - set(route)
-    tail_nodes = buckets[g] | leftovers | {s, t}
-    sub_g, map_g = induced_subinstance(inst, tail_nodes, s, t)
-    hp, _ = solve_atspp(sub_g)
-    path_g = [map_g[v] for v in hp.nodes]
-    state.check("tail-length",
-                sigma * hp.cost <= (2 * log_n + 1) * pow2[g],
-                f"tail length {sigma * hp.cost} vs {(2 * log_n + 1) * pow2[g]}")
-    route, hop = append(route, path_g, inst)
-    state.check("tail-append", sigma * hop <= 6 * pow2[g],
-                f"tail hop {sigma * hop} vs {6 * pow2[g]}")
+    tail_nodes = buckets[g] | (set(range(n)) - set(route)) | {s, t}
+    sub, lift = within(tail_nodes, t)
+    hp, _ = solve_atspp(sub)
+    at_most("tail-length", sigma * hp.cost, (2 * log_n + 1) * pow2[g], "tail length")
+    route, hop = append(route, lift(hp.nodes), inst)
+    at_most("tail-append", sigma * hop, 6 * pow2[g], "tail hop")
     state.steps.append({
         "i": g, "j": 1, "pivot": t,
         "A": sorted(tail_nodes - {s, t}), "B": [],
@@ -259,12 +235,7 @@ def solve_latency(inst, weighted=False):
     })
 
     final = shortcut(route)
-    if (
-        final[0] != s
-        or final[-1] != t
-        or len(final) != n
-        or set(final) != set(range(n))
-    ):
+    if not inst.is_st_order(final):
         raise InvariantError("latency route is not a Hamiltonian s-t order",
                              state=state)
 
@@ -274,11 +245,9 @@ def solve_latency(inst, weighted=False):
         acc += inst.d[u][v]
         latencies[v] = acc
     latencies[s] = ZERO
-    total = total_latency(inst, final, None if weighted else [ONE] * n)
-    if not weighted:
-        total_check = sum((latencies[v] for v in range(n) if v != s), ZERO)
-        if total != total_check:
-            raise InvariantError("latency bookkeeping mismatch", state=state)
+    total = total_latency(inst, final, w)
+    if total != sum((w[v] * lat for v, lat in latencies.items()), ZERO):
+        raise InvariantError("latency bookkeeping mismatch", state=state)
     return LatencyOrder(order=final, latencies=latencies, total=total), state
 
 

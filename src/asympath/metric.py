@@ -66,6 +66,11 @@ class MetricInstance:
             raise InputError("weights length differs from n")
         return [as_fraction(w) for w in weights]
 
+    def is_st_order(self, nodes):
+        """True iff nodes visits every node exactly once, s first, t last."""
+        return (len(nodes) == self.n and nodes[0] == self.s and nodes[-1] == self.t
+                and set(nodes) == set(range(self.n)))
+
     def node_set(self, nodes):
         """nodes as a set; InputError unless each is one of 0..n-1."""
         nodes = set(nodes)

@@ -124,8 +124,10 @@ def exact_k_person(inst, k):
     """Minimum total cost of exactly k s-t paths covering every node.
 
     Exhaustive: each interior node is inserted at every position of every
-    path.  Unused path slots count d(s,t) apiece, matching the solver's
-    padding convention.
+    nonempty path, or starts one more path while fewer than k are used;
+    empty paths are interchangeable, so the search is bounded by n alone.
+    Unused path slots count d(s,t) apiece, matching the solver's padding
+    convention.
     """
     if inst.n > K_PERSON_CAP:
         raise SizeLimitError(f"exact_k_person capped at n <= {K_PERSON_CAP}")
@@ -136,21 +138,14 @@ def exact_k_person(inst, k):
 
     best = [None, None]
 
-    def cost_of(groups):
-        total = ZERO
-        for g in groups:
-            if g:
-                total += inst.path_cost([s, *g, t])
-            else:
-                total += dst
-        return total
-
     def place(idx, groups):
         if idx == len(interior):
-            total = cost_of(groups)
+            total = sum((inst.path_cost([s, *g, t]) for g in groups), ZERO)
+            total += (k - len(groups)) * dst
             if best[0] is None or total < best[0]:
                 best[0] = total
                 best[1] = [[s, *g, t] for g in groups]
+                best[1] += [[s, t] for _ in range(k - len(groups))]
             return
         v = interior[idx]
         for g in groups:
@@ -158,6 +153,10 @@ def exact_k_person(inst, k):
                 g.insert(pos, v)
                 place(idx + 1, groups)
                 g.pop(pos)
+        if len(groups) < k:
+            groups.append([v])
+            place(idx + 1, groups)
+            groups.pop()
 
-    place(0, [[] for _ in range(k)])
+    place(0, [])
     return ExactResult(value=best[0], order=best[1])

@@ -150,6 +150,11 @@ class TestDecompose:
         cyc, amt = d.cycles[0]
         assert sorted(cyc) == [1, 3] and amt == 1
 
+    @pytest.mark.parametrize("arcs", [{(1, 1): 1}, {(0, 1): 0}, {(0, 1): -1}])
+    def test_self_loop_or_nonpositive_amount_rejected(self, arcs):
+        with pytest.raises(InputError):
+            graphs.decompose_flow(Counter(arcs), 0, 2)
+
     def test_imbalance_detected(self):
         f = ArcFlow({(0, 1): F(2), (1, 2): F(1)})
         with pytest.raises(ContractError):

@@ -1,10 +1,13 @@
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
 
 from asympath import latency, metric, oracle
-from asympath.errors import DegenerateLatencyError, InputError
+from asympath.errors import DegenerateLatencyError, InputError, InvariantError
 from asympath.latency import append, assembled_bound_factor, total_latency
+from asympath.rational import to_json
 
 from bruteforce import brute_latency
 
@@ -133,3 +136,56 @@ class TestSolveLatency:
         assert {"normalization-floor", "bucket-lower-bound", "tail-append"} <= names
         for step in state.steps[:-1]:
             assert "pivot" in step and "A" in step and "B" in step
+
+
+def _pipeline_instance(n, seed, max_weight):
+    """gen_random distances with node weights of mixed denominators."""
+    base = metric.gen_random(n, seed=seed, max_weight=max_weight)
+    weights = tuple(F(1 + (3 * v + seed) % 5, 1 + v % 3) for v in range(n))
+    return metric.MetricInstance(n, base.s, base.t, base.d, weights=weights)
+
+
+def _pipeline(inst):
+    doc = []
+    for weighted in (False, True):
+        order, state = latency.solve_latency(inst, weighted=weighted)
+        doc.append([order.order, list(order.latencies.items()), order.total,
+                    state.to_jsonable(), state.lp_objective,
+                    state.floored_objective, state.normalized])
+    return doc
+
+
+# (n, max_weight) -> digest of solve_latency, unweighted then weighted, over
+# seeds 0..2 (0..1 at n = 7); no sort_keys, so the key order of every step
+# and shrink record is pinned too
+PIPELINE_DIGESTS = {
+    (2, 7): 'fb6b4b9dcd3eb03e',
+    (2, 50): '2c91e17f36aff6c8',
+    (3, 7): '12ced973a7381529',
+    (3, 50): '2038df0d92bf0a76',
+    (4, 7): 'a05e4bffe403b0f0',
+    (4, 50): '739fd7b6a17e45d7',
+    (5, 7): 'e22d1bda71fd2921',
+    (5, 50): '034bef2073721cb7',
+    (6, 7): '76e0d27521ad1159',
+    (6, 50): '8463ad7cb5a77ef6',
+    (7, 7): '8a54fe629774e699',
+    (7, 50): 'f71325ba86b982e6',
+}
+
+
+@pytest.mark.parametrize("max_weight", [7, 50])
+@pytest.mark.parametrize("n", range(2, 8))
+def test_latency_pipeline_is_pinned(n, max_weight):
+    doc = [_pipeline(_pipeline_instance(n, seed, max_weight))
+           for seed in range(2 if n == 7 else 3)]
+    digest = hashlib.sha256(json.dumps(to_json(doc)).encode()).hexdigest()[:16]
+    assert digest == PIPELINE_DIGESTS[(n, max_weight)]
+
+
+def test_weighted_bookkeeping_is_cross_checked(monkeypatch):
+    real = latency.total_latency
+    monkeypatch.setattr(latency, "total_latency",
+                        lambda inst, order, weights=None: real(inst, order, weights) + 1)
+    with pytest.raises(InvariantError, match="latency bookkeeping mismatch"):
+        latency.solve_latency(_pipeline_instance(5, 0, 7), weighted=True)

@@ -99,6 +99,15 @@ class TestExactKPerson:
         best, _ = brute_k_person(inst, 3)
         assert res.value == best
 
+    def test_more_paths_than_nodes(self):
+        # k > n: empty paths are interchangeable, so this is as fast as k = n - 2
+        inst = metric.gen_random(8, seed=5, max_weight=20)
+        res = oracle.exact_k_person(inst, 12)
+        best, _ = brute_k_person(inst, 12)
+        assert res.value == best
+        assert len(res.order) == 12
+        assert sum(inst.path_cost(p) for p in res.order) == best
+
     def test_cap(self):
         inst = metric.gen_random(10, seed=0, max_weight=5)
         with pytest.raises(SizeLimitError):
