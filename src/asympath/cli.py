@@ -7,6 +7,7 @@ invariant violation (the offending trace is dumped to stderr).
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -16,23 +17,97 @@ from fractions import Fraction
 from . import atspp as atspp_mod
 from . import latency as latency_mod
 from . import lp, metric, oracle
-from .errors import InputError, InvariantError, SizeLimitError, SolverError
+from .errors import InputError, InvariantError, SolverError
 from .rational import as_fraction, format_rational, rational_to_json, to_json
 
 
-def _write_output(doc, path):
-    text = json.dumps(to_json(doc), indent=1)
+def _write(text, path):
+    """Write text to the file path, or to stdout when path is None."""
     if path:
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        sys.stdout.write(text)
 
 
-def _load(args):
-    if not args.infile:
-        raise InputError("--in FILE is required for this subcommand")
-    return metric.load_instance(args.infile)
+def _json(doc):
+    return json.dumps(to_json(doc), indent=1) + "\n"
+
+
+def _route(nodes):
+    return " ".join(map(str, nodes))
+
+
+def run_solver(cmd, args):
+    """Run an instance-reading subcommand: load --in, call
+    cmd(args, inst) -> (printed lines, --out document, run state or None),
+    print the lines, attach the state as "trace" under --trace, and write
+    --out."""
+    lines, doc, state = cmd(args, metric.load_instance(args.infile))
+    print("\n".join(lines))
+    if getattr(args, "trace", False):
+        doc["trace"] = state.to_jsonable()
+    if args.out:
+        _write(_json(doc), args.out)
+
+
+def cmd_atspp(args, inst):
+    hp, state = atspp_mod.solve_atspp(inst, iterations=args.iters)
+    lines = [f"path: {_route(hp.nodes)}", f"cost: {format_rational(hp.cost)}"]
+    return lines, {"path": hp.nodes, "cost": hp.cost}, state
+
+
+def _paths_result(paths, total, state):
+    lines = [f"path: {_route(p)}" for p in paths] + [f"total: {format_rational(total)}"]
+    return lines, {"paths": paths, "total": total}, state
+
+
+def cmd_kperson(args, inst):
+    (paths, total), state = atspp_mod.solve_k_person(inst, args.k, diagnostics=args.trace)
+    return _paths_result(paths, total, state)
+
+
+def cmd_multipath(args, inst):
+    paths = atspp_mod.multipath_cover(inst, args.k)
+    return _paths_result(paths, sum((inst.path_cost(p) for p in paths), Fraction(0)), None)
+
+
+def cmd_latency(args, inst):
+    order, state = latency_mod.solve_latency(inst, weighted=args.weighted)
+    lines = [f"order: {_route(order.order)}",
+             f"total latency: {format_rational(order.total)}"]
+    doc = {"order": order.order, "total": order.total,
+           "latencies": {str(v): x for v, x in sorted(order.latencies.items())}}
+    return lines, doc, state
+
+
+def cmd_lp_bound(args, inst):
+    if (args.alpha is None) == (not args.latency):
+        raise InputError("choose exactly one of --alpha RAT or --latency")
+    if args.weighted and not args.latency:
+        raise InputError("--weighted applies only with --latency")
+    alpha = None if args.latency else as_fraction(args.alpha)
+    if args.dump_model:
+        model = (lp.build_latency_lp(inst, weighted=args.weighted) if args.latency
+                 else lp.build_alpha_lp(inst, alpha)[0])
+        _write(_json(model.to_jsonable()), args.dump_model)
+    if args.latency:
+        sol = lp.solve_latency_lp(inst, weighted=args.weighted)
+        value, doc = sol.objective, {"latency_lp": sol.to_jsonable()}
+    else:
+        value, flow = lp.solve_lp_alpha(inst, alpha)
+        doc = {"alpha": args.alpha, "value": value, "flow": flow.to_jsonable()}
+    return [format_rational(value)], doc, None
+
+
+def cmd_oracle(args, inst):
+    if args.problem == "kperson":
+        res = oracle.exact_k_person(inst, args.k)
+        doc = {"value": res.value, "paths": res.order}
+    else:
+        res = (oracle.exact_atspp if args.problem == "atspp" else oracle.exact_latency)(inst)
+        doc = {"value": res.value, "order": res.order}
+    return [format_rational(res.value)], doc, None
 
 
 def cmd_gen(args):
@@ -42,107 +117,7 @@ def cmd_gen(args):
         inst = metric.gen_random(args.random, seed=args.seed, max_weight=args.max_weight)
     else:
         inst = metric.gen_bad_gap(args.bad_gap)
-    if args.out:
-        metric.save_instance(inst, args.out)
-    else:
-        print(metric.instance_to_json(inst))
-    return 0
-
-
-def cmd_atspp(args):
-    inst = _load(args)
-    hp, state = atspp_mod.solve_atspp(inst, iterations=args.iters)
-    print("path:", " ".join(map(str, hp.nodes)))
-    print("cost:", format_rational(hp.cost))
-    doc = {"path": hp.nodes, "cost": hp.cost}
-    if args.trace:
-        doc["trace"] = {"iterations": state.trace, "checks": state.checks}
-    if args.out:
-        _write_output(doc, args.out)
-    return 0
-
-
-def cmd_kperson(args):
-    inst = _load(args)
-    (paths, total), state = atspp_mod.solve_k_person(inst, args.k, diagnostics=args.trace)
-    for p in paths:
-        print("path:", " ".join(map(str, p)))
-    print("total:", format_rational(total))
-    doc = {"paths": paths, "total": total}
-    if args.trace:
-        doc["trace"] = {"iterations": state.trace, "checks": state.checks}
-    if args.out:
-        _write_output(doc, args.out)
-    return 0
-
-
-def cmd_multipath(args):
-    inst = _load(args)
-    paths = atspp_mod.multipath_cover(inst, args.k)
-    total = sum((inst.path_cost(p) for p in paths), Fraction(0))
-    for p in paths:
-        print("path:", " ".join(map(str, p)))
-    print("total:", format_rational(total))
-    if args.out:
-        _write_output({"paths": paths, "total": total}, args.out)
-    return 0
-
-
-def cmd_latency(args):
-    inst = _load(args)
-    order, state = latency_mod.solve_latency(inst, weighted=args.weighted)
-    print("order:", " ".join(map(str, order.order)))
-    print("total latency:", format_rational(order.total))
-    doc = {
-        "order": order.order,
-        "total": order.total,
-        "latencies": {str(v): x for v, x in sorted(order.latencies.items())},
-    }
-    if args.trace:
-        doc["trace"] = state.to_jsonable()
-    if args.out:
-        _write_output(doc, args.out)
-    return 0
-
-
-def cmd_lp_bound(args):
-    inst = _load(args)
-    if (args.alpha is None) == (not args.latency):
-        raise InputError("choose exactly one of --alpha RAT or --latency")
-    if args.alpha is not None:
-        if args.dump_model:
-            model, _ = lp.build_alpha_lp(inst, as_fraction(args.alpha))
-            _write_output(model.to_jsonable(), args.dump_model)
-        value, flow = lp.solve_lp_alpha(inst, as_fraction(args.alpha))
-        print(format_rational(value))
-        doc = {"alpha": args.alpha, "value": value, "flow": flow.to_jsonable()}
-    else:
-        if args.dump_model:
-            model = lp.build_latency_lp(inst, weighted=args.weighted)
-            _write_output(model.to_jsonable(), args.dump_model)
-        sol = lp.solve_latency_lp(inst, weighted=args.weighted)
-        print(format_rational(sol.objective))
-        doc = {"latency_lp": sol.to_jsonable()}
-    if args.out:
-        _write_output(doc, args.out)
-    return 0
-
-
-def cmd_oracle(args):
-    inst = _load(args)
-    if args.problem == "atspp":
-        res = oracle.exact_atspp(inst)
-        doc = {"value": res.value, "order": res.order}
-    elif args.problem == "latency":
-        res = oracle.exact_latency(inst)
-        doc = {"value": res.value, "order": res.order}
-    else:
-        res = oracle.exact_k_person(inst, args.k)
-        doc = {"value": res.value, "paths": res.order}
-    print(format_rational(res.value))
-    if args.out:
-        _write_output(doc, args.out)
-    return 0
+    _write(metric.instance_to_json(inst) + "\n", args.out)
 
 
 GAP_REPORT_COLUMNS = [
@@ -190,110 +165,90 @@ def cmd_gap_report(args):
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=GAP_REPORT_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
-    text = buf.getvalue()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return 0
+    writer.writerows(rows)
+    _write(buf.getvalue(), args.out)
 
 
 def build_parser():
     parser = argparse.ArgumentParser(
-        prog="asympath",
-        description="Exact-arithmetic path and latency solvers with LP bounds.",
-    )
+        prog="asympath", description="Exact-arithmetic path and latency solvers with LP bounds.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("gen", help="generate an instance JSON file")
+    def group(*names, **kwargs):
+        """A parent parser holding one argument shared by several subcommands."""
+        shared = argparse.ArgumentParser(add_help=False)
+        shared.add_argument(*names, **kwargs)
+        return shared
+
+    out = group("--out", metavar="FILE")
+    infile = group("--in", dest="infile", metavar="FILE", required=True)
+    k = group("--k", type=int, required=True)
+    trace = group("--trace", action="store_true")
+    weighted = group("--weighted", action="store_true")
+    max_weight = group("--max-weight", type=int, default=100)
+
+    def add(name, summary, func, *groups):
+        p = sub.add_parser(name, help=summary, parents=list(groups))
+        p.set_defaults(func=func)
+        return p
+
+    def add_solver(name, summary, cmd, *groups):
+        return add(name, summary, functools.partial(run_solver, cmd), infile, out, *groups)
+
+    p = add("gen", "generate an instance JSON file", cmd_gen, out, max_weight)
     p.add_argument("--random", type=int, metavar="N")
     p.add_argument("--bad-gap", type=int, metavar="D")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-weight", type=int, default=100)
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_gen)
 
-    p = sub.add_parser("atspp", help="approximate the cheapest Hamiltonian s-t path")
-    p.add_argument("--in", dest="infile", metavar="FILE")
-    p.add_argument("--out", metavar="FILE")
+    p = add_solver("atspp", "approximate the cheapest Hamiltonian s-t path", cmd_atspp, trace)
     p.add_argument("--iters", type=int, default=None)
-    p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=cmd_atspp)
 
-    p = sub.add_parser("kperson", help="k s-t paths covering all nodes")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--in", dest="infile", metavar="FILE")
-    p.add_argument("--out", metavar="FILE")
-    p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=cmd_kperson)
+    add_solver("kperson", "k s-t paths covering all nodes", cmd_kperson, k, trace)
+    add_solver("multipath", "k log n paths covering all nodes", cmd_multipath, k)
+    add_solver("latency", "approximate the minimum total latency order", cmd_latency,
+               weighted, trace)
 
-    p = sub.add_parser("multipath", help="k log n paths covering all nodes")
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--in", dest="infile", metavar="FILE")
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_multipath)
-
-    p = sub.add_parser("latency", help="approximate the minimum total latency order")
-    p.add_argument("--in", dest="infile", metavar="FILE")
-    p.add_argument("--out", metavar="FILE")
-    p.add_argument("--weighted", action="store_true")
-    p.add_argument("--trace", action="store_true")
-    p.set_defaults(func=cmd_latency)
-
-    p = sub.add_parser("lp-bound", help="exact LP lower bound")
+    p = add_solver("lp-bound", "exact LP lower bound", cmd_lp_bound, weighted)
     p.add_argument("--alpha", metavar="RAT")
     p.add_argument("--latency", action="store_true")
-    p.add_argument("--weighted", action="store_true")
-    p.add_argument("--in", dest="infile", metavar="FILE")
-    p.add_argument("--out", metavar="FILE")
     p.add_argument("--dump-model", metavar="FILE", help="write the LP as JSON")
-    p.set_defaults(func=cmd_lp_bound)
 
-    p = sub.add_parser("oracle", help="exact optimum by dynamic programming")
+    p = add_solver("oracle", "exact optimum by dynamic programming", cmd_oracle)
     p.add_argument("--problem", choices=["atspp", "latency", "kperson"], required=True)
     p.add_argument("--k", type=int, default=2)
-    p.add_argument("--in", dest="infile", metavar="FILE")
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("gap-report", help="batch solve+LP+oracle comparison CSV")
+    p = add("gap-report", "batch solve+LP+oracle comparison CSV", cmd_gap_report, out,
+            max_weight)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--nmin", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--max-weight", type=int, default=100)
-    p.add_argument("--out", metavar="FILE")
-    p.set_defaults(func=cmd_gap_report)
 
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code else 0
     try:
-        return args.func(args)
+        args.func(args)
     except InvariantError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)
-        state = getattr(exc, "state", None)
+        state = exc.state
         if hasattr(state, "to_jsonable"):
             state = state.to_jsonable()
         if isinstance(state, (dict, list)):
-            json.dump(to_json(state), sys.stderr, indent=1)
-            print(file=sys.stderr)
+            sys.stderr.write(_json(state))
         return 2
-    except (InputError, SizeLimitError, OSError, ValueError) as exc:
+    except (InputError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:
         print(f"solver error: {exc}", file=sys.stderr)
         return 2
+    return 0
 
 
 if __name__ == "__main__":

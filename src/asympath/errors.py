@@ -65,5 +65,6 @@ class CheckLog:
                                  state=self)
 
 
-class DegenerateLatencyError(SolverError):
-    """A latency value that must be positive is zero."""
+class DegenerateLatencyError(InputError):
+    """A latency value that must be positive is zero: the input has a zero
+    distance the latency solver cannot bucket."""

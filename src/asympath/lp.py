@@ -531,22 +531,3 @@ def normalize_latencies(sol, inst):
     sigma = ONE / min(ell2.values())
     return floored, sigma
 
-
-def order_distance_violations(sol, inst):
-    """Exact check that strongly ordered pairs force latency lower bounds.
-
-    For every triple with x_uw + x_wv = 1 + eps, eps > 0, the latency of v
-    must be at least eps times d(u, w).
-    """
-    bad = []
-    for u in range(sol.n):
-        for w in range(sol.n):
-            if u == w:
-                continue
-            for v in range(sol.n):
-                if v in (u, w) or v == sol.s:
-                    continue
-                eps = sol.x[(u, w)] + sol.x[(w, v)] - ONE
-                if eps > 0 and sol.ell[v] < eps * inst.d[u][w]:
-                    bad.append((u, w, v))
-    return bad

@@ -6,8 +6,6 @@ from fractions import Fraction
 from .errors import SizeLimitError, require_count
 from .rational import common_denominator, scaled_matrix
 
-ZERO = Fraction(0)
-
 ATSPP_CAP = 18
 LATENCY_CAP = 16
 K_PERSON_CAP = 9
@@ -127,21 +125,23 @@ def exact_k_person(inst, k):
     nonempty path, or starts one more path while fewer than k are used;
     empty paths are interchangeable, so the search is bounded by n alone.
     Unused path slots count d(s,t) apiece, matching the solver's padding
-    convention.
+    convention.  Costs are ints over the lcm of the distances, each
+    insertion adding its detour to the running total.
     """
     if inst.n > K_PERSON_CAP:
         raise SizeLimitError(f"exact_k_person capped at n <= {K_PERSON_CAP}")
     require_count(k, "k")
     s, t = inst.s, inst.t
     interior = [v for v in range(inst.n) if v not in (s, t)]
-    dst = inst.d[s][t]
+    d, L = scaled_matrix(inst.d)
+    dst = d[s][t]
 
     best = [None, None]
 
-    def place(idx, groups):
+    def place(idx, groups, cost):
+        # cost: the int cost of the nonempty paths [s, *g, t] so far
         if idx == len(interior):
-            total = sum((inst.path_cost([s, *g, t]) for g in groups), ZERO)
-            total += (k - len(groups)) * dst
+            total = cost + (k - len(groups)) * dst
             if best[0] is None or total < best[0]:
                 best[0] = total
                 best[1] = [[s, *g, t] for g in groups]
@@ -150,13 +150,15 @@ def exact_k_person(inst, k):
         v = interior[idx]
         for g in groups:
             for pos in range(len(g) + 1):
+                u = g[pos - 1] if pos else s
+                w = g[pos] if pos < len(g) else t
                 g.insert(pos, v)
-                place(idx + 1, groups)
+                place(idx + 1, groups, cost + d[u][v] + d[v][w] - d[u][w])
                 g.pop(pos)
         if len(groups) < k:
             groups.append([v])
-            place(idx + 1, groups)
+            place(idx + 1, groups, cost + d[s][v] + d[v][t])
             groups.pop()
 
-    place(0, [])
-    return ExactResult(value=best[0], order=best[1])
+    place(0, [], 0)
+    return ExactResult(value=Fraction(best[0], L), order=best[1])

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import os
 import subprocess
@@ -189,6 +190,26 @@ def test_unweighted_latency_on_weighted_file(tmp_path, capsys):
     assert "total latency:" in capsys.readouterr().out
 
 
+def test_zero_distance_latency_input_exits_one(tmp_path, capsys):
+    # a valid metric whose zero distance d(0, 1) the latency solver refuses
+    inst_file = tmp_path / "zero.json"
+    inst_file.write_text(json.dumps({"n": 3, "s": 0, "t": 2,
+                                     "d": [[0, 0, 1], [0, 0, 1], [1, 1, 0]]}))
+    assert main(["latency", "--in", str(inst_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: distance (0,1) must be positive")
+    assert "total latency:" not in captured.out
+
+
+def test_lp_bound_weighted_needs_latency(tmp_path, capsys):
+    inst_file = tmp_path / "inst.json"
+    assert main(["gen", "--random", "4", "--seed", "1", "--out", str(inst_file)]) == 0
+    assert main(["lp-bound", "--alpha", "1", "--weighted", "--in", str(inst_file)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: --weighted")
+    assert captured.out == ""
+
+
 def _gen_trace_instance(tmp_path):
     # the instance whose latency trace used to crash the JSON writer
     inst_file = tmp_path / "inst.json"
@@ -266,3 +287,92 @@ def test_python_dash_m_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["n"] == 4
+
+
+# every subcommand on gen_random(5, seed=4, max_weight=12) with node weights
+# (1, 3, 3/2, 2, 1): stdout and each --out / --dump-model file, digested byte
+# for byte; the gap-report CSV without its ms column, and the --trace
+# documents through the cover loop's "iterations" and "checks" and the
+# latency run's "steps" and "checks"
+CLI_COMMANDS = {
+    "gen": ["gen", "--random", "5", "--seed", "4", "--max-weight", "12"],
+    "gen-bad-gap": ["gen", "--bad-gap", "12", "--out", "{out}"],
+    "atspp": ["atspp", "--in", "{inst}", "--out", "{out}"],
+    "atspp-iters": ["atspp", "--iters", "1", "--in", "{inst}", "--trace", "--out", "{out}"],
+    "atspp-trace": ["atspp", "--in", "{inst}", "--trace", "--out", "{out}"],
+    "kperson": ["kperson", "--k", "2", "--in", "{inst}", "--out", "{out}"],
+    "kperson-trace": ["kperson", "--k", "2", "--in", "{inst}", "--trace", "--out", "{out}"],
+    "multipath": ["multipath", "--k", "2", "--in", "{inst}", "--out", "{out}"],
+    "latency": ["latency", "--in", "{inst}", "--out", "{out}"],
+    "latency-weighted": ["latency", "--weighted", "--in", "{inst}", "--out", "{out}"],
+    "latency-trace": ["latency", "--in", "{inst}", "--trace", "--out", "{out}"],
+    "lp-bound-alpha": ["lp-bound", "--alpha", "1/2", "--in", "{inst}", "--out", "{out}",
+                       "--dump-model", "{model}"],
+    "lp-bound-latency": ["lp-bound", "--latency", "--in", "{inst}", "--out", "{out}",
+                         "--dump-model", "{model}"],
+    "lp-bound-weighted": ["lp-bound", "--latency", "--weighted", "--in", "{inst}",
+                          "--out", "{out}"],
+    "oracle-atspp": ["oracle", "--problem", "atspp", "--in", "{inst}", "--out", "{out}"],
+    "oracle-latency": ["oracle", "--problem", "latency", "--in", "{inst}", "--out", "{out}"],
+    "oracle-kperson": ["oracle", "--problem", "kperson", "--k", "3", "--in", "{inst}",
+                       "--out", "{out}"],
+    "gap-report": ["gap-report", "--count", "3", "--nmin", "4", "--nmax", "5",
+                   "--seed", "7", "--max-weight", "20"],
+    "gap-report-out": ["gap-report", "--count", "2", "--nmin", "5", "--nmax", "6",
+                       "--seed", "1", "--out", "{out}"],
+}
+
+CLI_DIGESTS = {
+    "gen": "7675f3b52b9ca3b3",
+    "gen-bad-gap": "83d6b2d3de2582cc",
+    "atspp": "688c2c3b968d2796",
+    "atspp-iters": "16a2a10a3b5ae839",
+    "atspp-trace": "7f317a66be10903a",
+    "kperson": "4e955462b53cae64",
+    "kperson-trace": "9b07754e7a199158",
+    "multipath": "4e955462b53cae64",
+    "latency": "2d7098e7f94a64bc",
+    "latency-weighted": "8ef1b5c4d04de6a8",
+    "latency-trace": "486ffbf0333a28c7",
+    "lp-bound-alpha": "93e3f5181ea9af16",
+    "lp-bound-latency": "124634cbcd532507",
+    "lp-bound-weighted": "8e20250c1c165640",
+    "oracle-atspp": "14e63cfe5ebad82b",
+    "oracle-latency": "ea0081d5b66edc28",
+    "oracle-kperson": "9742f3d2e4c594c1",
+    "gap-report": "87016f3a719195f7",
+    "gap-report-out": "86383e5738a2de86",
+}
+
+
+def _without_ms(csv_text):
+    return "".join(line.rsplit(",", 1)[0] + "\n" for line in csv_text.splitlines())
+
+
+def _pinned_view(name, text):
+    if name.startswith("gap-report"):
+        return _without_ms(text)
+    doc = json.loads(text)
+    if "trace" not in doc:
+        return text
+    doc["trace"] = {key: doc["trace"].get(key) for key in ("iterations", "steps", "checks")}
+    return doc
+
+
+def test_cli_outputs_are_pinned(tmp_path, capsys):
+    base = metric.gen_random(5, seed=4, max_weight=12)
+    inst_file = tmp_path / "inst.json"
+    metric.save_instance(metric.MetricInstance(5, 0, 4, base.d,
+                                               weights=(1, 3, Fraction(3, 2), 2, 1)),
+                         inst_file)
+    digests = {}
+    for name, command in CLI_COMMANDS.items():
+        paths = {key: tmp_path / f"{name}.{key}" for key in ("out", "model")}
+        argv = [arg.format(inst=inst_file, **paths) for arg in command]
+        assert main(argv) == 0, name
+        stdout = capsys.readouterr().out
+        doc = [_without_ms(stdout) if name.startswith("gap-report") else stdout]
+        doc += [_pinned_view(name, paths[key].read_text())
+                for key in ("out", "model") if paths[key].exists()]
+        digests[name] = hashlib.sha256(json.dumps(doc).encode()).hexdigest()[:16]
+    assert digests == CLI_DIGESTS
