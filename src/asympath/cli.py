@@ -102,8 +102,10 @@ def cmd_lp_bound(args, inst):
 
 def cmd_oracle(args, inst):
     if args.problem == "kperson":
-        res = oracle.exact_k_person(inst, args.k)
+        res = oracle.exact_k_person(inst, 2 if args.k is None else args.k)
         doc = {"value": res.value, "paths": res.order}
+    elif args.k is not None:
+        raise InputError("--k applies only with --problem kperson")
     else:
         res = (oracle.exact_atspp if args.problem == "atspp" else oracle.exact_latency)(inst)
         doc = {"value": res.value, "order": res.order}
@@ -114,7 +116,10 @@ def cmd_gen(args):
     if (args.random is None) == (args.bad_gap is None):
         raise InputError("choose exactly one of --random N or --bad-gap D")
     if args.random is not None:
-        inst = metric.gen_random(args.random, seed=args.seed, max_weight=args.max_weight)
+        inst = metric.gen_random(args.random, seed=0 if args.seed is None else args.seed,
+                                 max_weight=100 if args.max_weight is None else args.max_weight)
+    elif args.seed is not None or args.max_weight is not None:
+        raise InputError("--seed and --max-weight apply only with --random")
     else:
         inst = metric.gen_bad_gap(args.bad_gap)
     _write(metric.instance_to_json(inst) + "\n", args.out)
@@ -185,7 +190,6 @@ def build_parser():
     k = group("--k", type=int, required=True)
     trace = group("--trace", action="store_true")
     weighted = group("--weighted", action="store_true")
-    max_weight = group("--max-weight", type=int, default=100)
 
     def add(name, summary, func, *groups):
         p = sub.add_parser(name, help=summary, parents=list(groups))
@@ -195,10 +199,12 @@ def build_parser():
     def add_solver(name, summary, cmd, *groups):
         return add(name, summary, functools.partial(run_solver, cmd), infile, out, *groups)
 
-    p = add("gen", "generate an instance JSON file", cmd_gen, out, max_weight)
+    # unset options stay None, so that gen and oracle can reject one that does not apply
+    p = add("gen", "generate an instance JSON file", cmd_gen, out)
     p.add_argument("--random", type=int, metavar="N")
     p.add_argument("--bad-gap", type=int, metavar="D")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--max-weight", type=int)
 
     p = add_solver("atspp", "approximate the cheapest Hamiltonian s-t path", cmd_atspp, trace)
     p.add_argument("--iters", type=int, default=None)
@@ -215,10 +221,10 @@ def build_parser():
 
     p = add_solver("oracle", "exact optimum by dynamic programming", cmd_oracle)
     p.add_argument("--problem", choices=["atspp", "latency", "kperson"], required=True)
-    p.add_argument("--k", type=int, default=2)
+    p.add_argument("--k", type=int)
 
-    p = add("gap-report", "batch solve+LP+oracle comparison CSV", cmd_gap_report, out,
-            max_weight)
+    p = add("gap-report", "batch solve+LP+oracle comparison CSV", cmd_gap_report, out)
+    p.add_argument("--max-weight", type=int, default=100)
     p.add_argument("--count", type=int, required=True)
     p.add_argument("--nmin", type=int, required=True)
     p.add_argument("--nmax", type=int, required=True)

@@ -39,13 +39,15 @@ def min_k_path_cycle_cover(inst, W, k):
 
     s gets k out-slots and t k in-slots, every other node of W one of
     each; a perfect matching of slots is exactly a k-path-cycle cover.
+    The costs are the instance's ints over L (inst.scaled), so the
+    cover's cost is Fraction(total, L).
     """
     require_count(k, "k")
     W = sorted(inst.node_set(W))
     s, t = inst.s, inst.t
     if s not in W or t not in W or len(W) < 2:
         raise InputError("W must contain both s and t")
-    d = inst.d
+    d, L = inst.scaled
 
     lefts = [s] * k + [u for u in W if u not in (s, t)]
     rights = [t] * k + [u for u in W if u not in (s, t)]
@@ -83,8 +85,8 @@ def min_k_path_cycle_cover(inst, W, k):
 
     if used != set(W):
         raise InvariantError("matching arcs failed to cover W", state=arcs)
-    cover = KPathCycleCover(paths=paths, cycles=cycles, cost=total)
-    if sum((d[u][v] for u, v in cover.arcs().elements()), ZERO) != total:
+    cover = KPathCycleCover(paths=paths, cycles=cycles, cost=Fraction(total, L))
+    if sum(d[u][v] for u, v in cover.arcs().elements()) != total:
         raise InvariantError("cover cost disagrees with matching cost")
     return cover
 

@@ -1,9 +1,9 @@
 """Exact combinatorial primitives used throughout the solvers.
 
-All values are exact: flows and capacities are Fractions at the
-interface, and the assignment solver, the max-flow and the flow
-decomposition run on their inputs scaled to ints over one common
-denominator.  There are no epsilon comparisons in this module.
+All values are exact: the assignment solver takes and returns ints,
+flows and capacities are Fractions at the interface, and the max-flow
+and the flow decomposition run on their inputs scaled to ints over one
+common denominator.  There are no epsilon comparisons in this module.
 Functions are pure and deterministic: ties break toward lower node
 indices everywhere.
 """
@@ -11,6 +11,7 @@ indices everywhere.
 from collections import Counter, deque
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .errors import AcyclicityError, ContractError, InfeasibleError, InputError, InvariantError
 from .rational import as_fraction, common_denominator, to_json
@@ -140,27 +141,31 @@ class Decomposition:
 
 
 def min_cost_perfect_matching(cost):
-    """Minimum-cost perfect matching of a square rational matrix.
+    """Minimum-cost perfect matching of a square int matrix.
 
-    cost[i][j] is the exact cost of pairing row i with column j, or None
-    when the cell is forbidden.  Returns (matching, total) where
-    matching[i] is the column assigned to row i.
+    cost[i][j] is the int cost of pairing row i with column j, or None
+    when the cell is forbidden; any other cell, a float or a bool
+    included, raises TypeError.  Returns (matching, total) where
+    matching[i] is the column assigned to row i and total is an int.
 
-    Shortest augmenting paths with potentials, O(m^3).  The costs are
-    scaled once by the lcm L of their denominators, so costs, potentials
-    and reduced costs are all ints; scaling by L > 0 keeps every
-    comparison, hence the matching, and the total is Fraction(sum, L).
+    Shortest augmenting paths with potentials, O(m^3).  Within one row's
+    search, dist[j] is the classic formulation's minv[j] plus every delta
+    applied so far, so a delta moves no column; each used column's
+    potentials move once, when the search ends, by the deltas since it
+    was reached.  The comparisons and the first-lowest tie rule are those
+    of the form that updates every column after each step.
     """
     m = len(cost)
     if any(len(row) != m for row in cost):
         raise InputError("cost matrix must be square")
+    bad = set(map(type, chain.from_iterable(cost))) - {int, type(None)}
+    if bad:
+        raise TypeError(f"cost cells must be ints or None, not {sorted(t.__name__ for t in bad)}")
     if m == 0:
-        return [], ZERO
-    L = common_denominator(c for row in cost for c in row if c is not None)
-    cost = [[None if c is None else c.numerator * (L // c.denominator) for c in row]
-            for row in cost]
+        return [], 0
 
-    # 1-based with a virtual column 0, as in the classic formulation
+    # rows and columns 1-based, with a virtual column 0, as in the classic formulation
+    cost = [None] + [[None, *row] for row in cost]
     pot_u = [0] * (m + 1)
     pot_v = [0] * (m + 1)
     match_of_col = [0] * (m + 1)  # row matched to each column, 0 = free
@@ -168,40 +173,43 @@ def min_cost_perfect_matching(cost):
 
     for i in range(1, m + 1):
         match_of_col[0] = i
+        dist = [None] * (m + 1)  # None = unreachable
+        dist[0] = 0
+        free = list(range(1, m + 1))
+        used = [0]
         j0 = 0
-        minv = [None] * (m + 1)  # None = unreachable
-        used = [False] * (m + 1)
-        while True:
-            used[j0] = True
+        # the search reaches at most the i - 1 matched columns and one free one
+        for _ in range(i):
             i0 = match_of_col[j0]
-            delta = None
-            j1 = -1
-            row = cost[i0 - 1]
-            pu = pot_u[i0]
-            for j in range(1, m + 1):
-                if used[j]:
-                    continue
-                mj = minv[j]
-                c = row[j - 1]
+            row = cost[i0]
+            # the deltas applied so far sum to dist[j0]
+            base = dist[j0] - pot_u[i0]
+            best = None
+            for j in free:
+                dj = dist[j]
+                c = row[j]
                 if c is not None:
-                    cur = c - pu - pot_v[j]
-                    if mj is None or cur < mj:
-                        minv[j] = mj = cur
+                    cur = c + base - pot_v[j]
+                    if dj is None or cur < dj:
+                        dist[j] = dj = cur
                         way[j] = j0
-                if mj is not None and (delta is None or mj < delta):
-                    delta = mj
+                if dj is not None and (best is None or dj < best):
+                    best = dj
                     j1 = j
-            if delta is None:
+            if best is None:
                 raise InfeasibleError("no perfect matching avoids the forbidden cells")
-            for j in range(m + 1):
-                if used[j]:
-                    pot_u[match_of_col[j]] += delta
-                    pot_v[j] -= delta
-                elif minv[j] is not None:
-                    minv[j] -= delta
             j0 = j1
             if match_of_col[j0] == 0:
                 break
+            free.remove(j0)
+            used.append(j0)
+        else:
+            raise InvariantError("augmenting path search did not reach a free column")
+        end = dist[j0]
+        for j in used:
+            before = dist[j]
+            pot_u[match_of_col[j]] += end - before
+            pot_v[j] -= end - before
         while j0:
             j1 = way[j0]
             match_of_col[j0] = match_of_col[j1]
@@ -210,7 +218,7 @@ def min_cost_perfect_matching(cost):
     matching = [0] * m
     for j in range(1, m + 1):
         matching[match_of_col[j] - 1] = j - 1
-    return matching, Fraction(sum(cost[i][matching[i]] for i in range(m)), L)
+    return matching, sum(cost[match_of_col[j]][j] for j in range(1, m + 1))
 
 
 def max_flow_min_cut(capacities, source, sink, nodes=None):

@@ -13,7 +13,7 @@ from itertools import chain, combinations, permutations
 
 from .errors import DegenerateLatencyError, InputError, InvariantError
 from .graphs import ArcFlow, max_flow_min_cut
-from .rational import as_fraction, common_denominator, scaled_matrix, to_json
+from .rational import as_fraction, common_denominator, to_json
 from .simplex import OPTIMAL, LpModel, SimplexSolver
 
 ZERO = Fraction(0)
@@ -204,7 +204,7 @@ class LatencyLpSolution:
             self.x.values(), self.x3.values(), self.ell.values(),
             (amt for fv in self.flows.values() for _, amt in fv.items())))
         x, x3, ell = (_scaled(vals, L) for vals in (self.x, self.x3, self.ell))
-        d, D = scaled_matrix(inst.d)
+        d, D = inst.scaled
 
         for (u, v), val in x.items():
             if val < 0:

@@ -10,9 +10,10 @@ import json
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .errors import InfeasibleError, InputError
-from .rational import as_fraction, common_denominator, to_json
+from .rational import as_fraction, common_denominator, scaled_matrix, to_json
 
 
 @dataclass(frozen=True)
@@ -49,6 +50,14 @@ class MetricInstance:
             object.__setattr__(self, "weights", tuple(self.node_weights(self.weights)))
             if any(w <= 0 for w in self.weights):
                 raise InputError("node weights must be positive")
+
+    @cached_property
+    def scaled(self):
+        """(int rows, L): d as ints over the lcm L of its denominators,
+        computed on first use and kept.  Not a field, so ==, hash and
+        dataclasses.replace ignore it; the rows are tuples, shared by
+        every caller."""
+        return scaled_matrix(self.d)
 
     def path_cost(self, nodes):
         """Total distance along a node sequence."""

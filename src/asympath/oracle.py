@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeLimitError, require_count
-from .rational import common_denominator, scaled_matrix
+from .rational import common_denominator
 
 ATSPP_CAP = 18
 LATENCY_CAP = 16
@@ -89,7 +89,7 @@ def exact_atspp(inst):
         raise SizeLimitError(f"exact_atspp capped at n <= {ATSPP_CAP}")
     s, t = inst.s, inst.t
     interior = [v for v in range(inst.n) if v not in (s, t)]
-    d, L = scaled_matrix(inst.d)
+    d, L = inst.scaled
     value, order = _subset_dp(d, s, t, interior, [1] * (1 << len(interior)))
     return ExactResult(value=Fraction(value, L), order=order)
 
@@ -113,7 +113,7 @@ def exact_latency(inst, weights=None):
     for mask in range(1, 1 << len(interior)):
         low = mask & -mask
         pending.append(pending[mask ^ low] - w[interior[low.bit_length() - 1]])
-    d, L = scaled_matrix(inst.d)
+    d, L = inst.scaled
     value, order = _subset_dp(d, s, t, interior, pending)
     return ExactResult(value=Fraction(value, L * W), order=order)
 
@@ -133,7 +133,7 @@ def exact_k_person(inst, k):
     require_count(k, "k")
     s, t = inst.s, inst.t
     interior = [v for v in range(inst.n) if v not in (s, t)]
-    d, L = scaled_matrix(inst.d)
+    d, L = inst.scaled
     dst = d[s][t]
 
     best = [None, None]

@@ -53,9 +53,9 @@ def common_denominator(values):
 
 def scaled_matrix(rows):
     """A matrix of exact values as ints over the lcm L of their
-    denominators: returns (int rows, L)."""
+    denominators: returns (int rows as tuples, L)."""
     L = common_denominator(x for row in rows for x in row)
-    return [[x.numerator * (L // x.denominator) for x in row] for row in rows], L
+    return tuple(tuple(x.numerator * (L // x.denominator) for x in row) for row in rows), L
 
 
 def format_rational(value):

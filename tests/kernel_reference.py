@@ -1,6 +1,7 @@
 """Exact-Fraction versions of the integer-scaled kernels, kept as test oracles.
 
-graphs.min_cost_perfect_matching, graphs.max_flow_min_cut,
+graphs.min_cost_perfect_matching takes int costs (scaled_costs below
+scales a rational matrix for it), and graphs.max_flow_min_cut,
 graphs.decompose_flow, metric.metric_closure, the subset DPs behind
 oracle.exact_atspp / oracle.exact_latency and lp.LatencyLpSolution.verify
 scale their inputs to ints over one common denominator.  The functions
@@ -16,10 +17,18 @@ from asympath.errors import ContractError, InfeasibleError, InputError, Invarian
 from asympath.graphs import Decomposition, _find_cycle
 from asympath.metric import MetricInstance
 from asympath.oracle import ATSPP_CAP, LATENCY_CAP, ExactResult
-from asympath.rational import as_fraction
+from asympath.rational import as_fraction, common_denominator
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
+
+
+def scaled_costs(cost):
+    """(int cost matrix, L): the exact cells times the lcm L of their
+    denominators, None cells kept, as graphs.min_cost_perfect_matching
+    takes them."""
+    L = common_denominator(c for row in cost for c in row if c is not None)
+    return [[None if c is None else int(as_fraction(c) * L) for c in row] for row in cost], L
 
 
 def min_cost_perfect_matching(cost):

@@ -11,7 +11,7 @@ import pytest
 
 from asympath import atspp as atspp_mod
 from asympath import latency as latency_mod
-from asympath import lp, metric
+from asympath import lp, metric, oracle
 from asympath.errors import InvariantError
 from asympath.cli import GAP_REPORT_COLUMNS, gap_report_rows, main
 
@@ -67,6 +67,41 @@ def test_argument_errors_exit_one(tmp_path, capsys):
     assert main(["atspp", "--in", str(tmp_path / "missing.json")]) == 1
     assert main(["lp-bound", "--in", str(tmp_path / "missing.json")]) == 1
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("extra", [["--seed", "9"], ["--max-weight", "3"],
+                                   ["--seed", "9", "--max-weight", "3"], ["--seed", "0"]])
+def test_gen_bad_gap_rejects_random_options(capsys, extra):
+    assert main(["gen", "--bad-gap", "12", *extra]) == 1
+    assert "apply only with --random" in capsys.readouterr().err
+
+
+def test_gen_random_defaults_are_seed_0_and_max_weight_100(capsys):
+    assert main(["gen", "--random", "5"]) == 0
+    defaulted = capsys.readouterr().out
+    assert main(["gen", "--random", "5", "--seed", "0", "--max-weight", "100"]) == 0
+    assert capsys.readouterr().out == defaulted
+    assert metric.instance_from_json(defaulted) == metric.gen_random(5, seed=0, max_weight=100)
+
+
+@pytest.mark.parametrize("problem", ["atspp", "latency"])
+def test_oracle_k_needs_kperson(tmp_path, capsys, problem):
+    inst_file = tmp_path / "inst.json"
+    assert main(["gen", "--random", "5", "--seed", "4", "--out", str(inst_file)]) == 0
+    assert main(["oracle", "--problem", problem, "--k", "5", "--in", str(inst_file)]) == 1
+    assert "--k applies only with --problem kperson" in capsys.readouterr().err
+
+
+def test_oracle_kperson_defaults_to_two_paths(tmp_path, capsys):
+    inst_file = tmp_path / "inst.json"
+    assert main(["gen", "--random", "6", "--seed", "5", "--out", str(inst_file)]) == 0
+    out_file = tmp_path / "out.json"
+    assert main(["oracle", "--problem", "kperson", "--in", str(inst_file),
+                 "--out", str(out_file)]) == 0
+    res = oracle.exact_k_person(metric.load_instance(inst_file), 2)
+    doc = json.loads(out_file.read_text())
+    assert len(doc["paths"]) == 2 and doc["paths"] == res.order
+    assert capsys.readouterr().out.strip() == str(res.value)
 
 
 def test_gap_report_deterministic_modulo_timing(tmp_path):

@@ -9,6 +9,7 @@ from asympath.errors import AcyclicityError, ContractError, InfeasibleError, Inp
 from asympath.graphs import ArcFlow
 
 from bruteforce import brute_max_bipartite, brute_min_cost_matching, brute_min_cut
+from kernel_reference import scaled_costs
 
 
 F = Fraction
@@ -36,25 +37,32 @@ class TestArcFlow:
         assert f[(0, 1)] == 1
 
 
+def matching_of(cost):
+    """The kernel on an exact matrix scaled to ints: (matching, total as a Fraction)."""
+    ints, L = scaled_costs(cost)
+    matching, total = graphs.min_cost_perfect_matching(ints)
+    return matching, F(total, L)
+
+
 class TestMatching:
     def test_diagonal_optimal(self):
-        matching, cost = graphs.min_cost_perfect_matching([[F(1), F(2)], [F(2), F(1)]])
+        matching, cost = matching_of([[F(1), F(2)], [F(2), F(1)]])
         assert cost == 2
         assert matching == [0, 1]
 
     def test_single_cell(self):
-        matching, cost = graphs.min_cost_perfect_matching([[F(0)]])
+        matching, cost = matching_of([[F(0)]])
         assert cost == 0 and matching == [0]
 
     def test_forbidden_cells_respected(self):
         cost = [[None, F(3)], [F(4), None]]
-        matching, total = graphs.min_cost_perfect_matching(cost)
+        matching, total = matching_of(cost)
         assert matching == [1, 0]
         assert total == 7
 
     def test_infeasible(self):
         with pytest.raises(InfeasibleError):
-            graphs.min_cost_perfect_matching([[None, F(1)], [None, F(1)]])
+            matching_of([[None, F(1)], [None, F(1)]])
 
     def test_random_matches_brute_force(self):
         rng = random.Random(42)
@@ -70,9 +78,9 @@ class TestMatching:
             expected = brute_min_cost_matching(cost)
             if expected is None:
                 with pytest.raises(InfeasibleError):
-                    graphs.min_cost_perfect_matching(cost)
+                    matching_of(cost)
             else:
-                matching, total = graphs.min_cost_perfect_matching(cost)
+                matching, total = matching_of(cost)
                 assert total == expected
                 assert sorted(matching) == list(range(m))
                 assert total == sum(cost[i][matching[i]] for i in range(m))

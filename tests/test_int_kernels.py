@@ -122,27 +122,57 @@ def assert_all_fractions(values):
 @DERANDOMIZED
 @given(cost_matrices())
 def test_matching_equals_fraction_reference(cost):
+    ints, L = ref.scaled_costs(cost)
     try:
         expected = ref.min_cost_perfect_matching(cost)
     except InfeasibleError:
         with pytest.raises(InfeasibleError):
-            graphs.min_cost_perfect_matching(cost)
+            graphs.min_cost_perfect_matching(ints)
         return
-    matching, total = graphs.min_cost_perfect_matching(cost)
-    assert (matching, total) == expected
-    assert_all_fractions([total])
+    matching, total = graphs.min_cost_perfect_matching(ints)
+    assert (matching, F(total, L)) == expected
+    assert type(total) is int
 
 
 @settings(derandomize=True, max_examples=25, deadline=None)
 @given(cost_matrices(max_m=16))
 def test_larger_matching_equals_fraction_reference(cost):
+    ints, L = ref.scaled_costs(cost)
     try:
         expected = ref.min_cost_perfect_matching(cost)
     except InfeasibleError:
         with pytest.raises(InfeasibleError):
-            graphs.min_cost_perfect_matching(cost)
+            graphs.min_cost_perfect_matching(ints)
         return
-    assert graphs.min_cost_perfect_matching(cost) == expected
+    matching, total = graphs.min_cost_perfect_matching(ints)
+    assert (matching, F(total, L)) == expected
+
+
+@st.composite
+def cover_matrices(draw):
+    """The int cost matrix of a k-path-cycle cover of one instance, as
+    cover.min_k_path_cycle_cover builds it: k = 1..3 copies of the s row
+    and of the t column, the other nodes once each with their own cell
+    forbidden, values from a small pool so that ties abound, m up to 42."""
+    k = draw(st.integers(1, 3))
+    n = draw(st.integers(2, 44 - k))
+    d = [[draw(st.integers(0, 6)) for _ in range(n)] for _ in range(n)]
+    interior = list(range(1, n - 1))
+    lefts, rights = [0] * k + interior, [n - 1] * k + interior
+    return [[None if u == w else d[u][w] for w in rights] for u in lefts]
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(cover_matrices())
+def test_cover_matching_equals_eager_fraction_reference(cost):
+    matching, total = graphs.min_cost_perfect_matching(cost)
+    assert (matching, total) == ref.min_cost_perfect_matching(cost)
+
+
+@pytest.mark.parametrize("bad", [True, F(1, 2)])
+def test_matching_rejects_non_int_costs(bad):
+    with pytest.raises(TypeError):
+        graphs.min_cost_perfect_matching([[bad, 1], [1, 0]])
 
 
 def test_matching_rejects_float_costs():

@@ -1,8 +1,10 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from asympath import metric
+from asympath.rational import scaled_matrix
 from asympath.errors import InfeasibleError, InputError
 
 from bruteforce import brute_all_pairs_shortest, brute_atspp
@@ -158,6 +160,25 @@ def test_induced_subinstance_argument_errors():
         metric.induced_subinstance(inst, {0, 1}, 0, 2)
     with pytest.raises(InputError):
         metric.induced_subinstance(inst, {0, 1}, 0, 0)
+
+
+def test_scaled_distances_are_cached_per_instance():
+    d = ((0, Fraction(1, 2), 3), (Fraction(2, 3), 0, 1), (1, Fraction(5, 6), 0))
+    inst = metric.MetricInstance(n=3, s=0, t=2, d=d)
+    twin = metric.MetricInstance(n=3, s=0, t=2, d=d)
+    key = hash(inst)
+    rows, L = inst.scaled
+    assert (rows, L) == scaled_matrix(inst.d)
+    assert L == 6 and rows[1] == (4, 0, 6)
+    assert inst.scaled is inst.scaled
+    assert inst == twin and hash(inst) == key == hash(twin)
+    assert "scaled" not in repr(inst)
+    # a new instance scales its own d, never a cached copy
+    other = replace(inst, d=((0, 1, 3), (2, 0, 1), (1, 1, 0)))
+    assert other.scaled == scaled_matrix(other.d) == (((0, 1, 3), (2, 0, 1), (1, 1, 0)), 1)
+    assert replace(inst, s=1).scaled == inst.scaled and replace(inst, s=1) != inst
+    sub, mapping = metric.induced_subinstance(inst, {1, 2}, 1, 2)
+    assert sub.scaled == scaled_matrix(sub.d) == (((0, 6), (5, 0)), 6)
 
 
 def test_json_round_trip_with_fractions():
