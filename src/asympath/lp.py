@@ -101,17 +101,12 @@ def solve_lp_alpha(inst, alpha):
     model, xv = build_alpha_lp(inst, alpha)
 
     def separate(sol):
-        flow = _extract_flow(sol, inst)
-        violated = set()
-        for v in range(n):
-            if v != s:
-                value, cut = max_flow_min_cut(flow, s, v, nodes=range(n))
-                if value < alpha:
-                    violated.add(cut)
+        needs = ((v, alpha) for v in range(n) if v != s)
+        cuts = {cut for _, _, cut in _short_cuts(_extract_flow(sol, inst), s, needs, range(n))}
         return [
             (cut, {xv[(u, w)]: ONE for u in range(n) if u not in cut for w in cut if w != u},
              alpha)
-            for cut in sorted(violated, key=sorted)
+            for cut in sorted(cuts, key=sorted)
         ]
 
     sol, _ = _cutting_planes(SimplexSolver(model), separate, n, "cut relaxation")
@@ -119,12 +114,20 @@ def solve_lp_alpha(inst, alpha):
 
 
 def _extract_flow(sol, inst):
-    flow = ArcFlow()
-    for u, v in inst.arcs():
-        val = sol.values[f"x[{u},{v}]"]
-        if val:
-            flow.add(u, v, val)
-    return flow
+    # build_alpha_lp adds one column per arc, in inst.arcs() order
+    return ArcFlow((arc, val) for arc, val in zip(inst.arcs(), sol.values.values()) if val)
+
+
+def _short_cuts(flow, s, needs, nodes):
+    """(target, value, cut) for each (target, need) pair of needs, in order,
+    whose max flow from s in flow falls short of a positive need; value is
+    that max flow and cut a minimum cut over nodes (target side).  Private,
+    so perfbench's tracer charges each max flow to the public caller."""
+    for v, need in needs:
+        if need > 0:
+            value, cut = max_flow_min_cut(flow, s, v, nodes=nodes)
+            if value < need:
+                yield v, value, cut
 
 
 def flow_alpha_violations(nodes, s, t, flow, alpha):
@@ -157,12 +160,9 @@ def flow_alpha_violations(nodes, s, t, flow, alpha):
     if not set(flow.nodes()) <= set(nodes):
         violations.append("flow leaves the node set")
         return violations
-    for v in nodes:
-        if v == s:
-            continue
-        value, cut = max_flow_min_cut(flow, s, v, nodes=nodes)
-        if value < alpha:
-            violations.append(f"cut {sorted(cut)} receives {value} < {alpha}")
+    needs = ((v, alpha) for v in nodes if v != s)
+    violations += (f"cut {sorted(cut)} receives {value} < {alpha}"
+                   for _, value, cut in _short_cuts(flow, s, needs, nodes))
     return violations
 
 
@@ -263,18 +263,10 @@ class LatencyLpSolution:
                 bad.append(f"endpoint order values wrong for {u}")
 
         for v in range(n):
-            if v == s:
-                continue
-            fv = self.flows[v]
-            for y in range(n):
-                if y in (s, v, t):
-                    continue
-                need = self.x[(y, v)]
-                if need == 0:
-                    continue
-                value, _ = max_flow_min_cut(fv, s, y, nodes=range(n))
-                if value < need:
-                    bad.append(f"flow {v} sends {value} < x[{y},{v}] through {y}")
+            if v != s:
+                needs = ((y, self.x[(y, v)]) for y in range(n) if y not in (s, v, t))
+                bad += (f"flow {v} sends {value} < x[{y},{v}] through {y}"
+                        for y, value, _ in _short_cuts(self.flows[v], s, needs, range(n)))
         return bad
 
     def to_jsonable(self):
@@ -440,32 +432,22 @@ class _ReducedLatency:
         return out
 
     def flow_of(self, values, v):
-        f = ArcFlow()
-        for arc, idx in self.fv[v].items():
-            val = values[idx]
-            if val:
-                f.add(*arc, val)
-        return f
+        return ArcFlow((arc, values[idx]) for arc, idx in self.fv[v].items() if values[idx])
 
     def violated_cut_rows(self, values):
+        """The rows "s-v flow into any set holding y, not s, >= x[y,v]" that
+        values violate, as (key, coeffs, rhs)."""
         out = []
         for v in sorted(self.fv):
-            flow = self.flow_of(values, v)
-            for ynode in self.P:
-                if ynode == v:
-                    continue
-                const, var, sign = expr = self.pair_expr(ynode, v)
-                need = self.value(values, expr)
-                if need <= 0:
-                    continue
-                value, cut = max_flow_min_cut(flow, self.s, ynode, nodes=range(self.n))
-                if value >= need:
-                    continue
+            exprs = {y: self.pair_expr(y, v) for y in self.P if y != v}
+            needs = ((y, self.value(values, expr)) for y, expr in exprs.items())
+            for y, _, cut in _short_cuts(self.flow_of(values, v), self.s, needs, range(self.n)):
+                const, var, sign = exprs[y]
                 coeffs = {idx: ONE for (a, b), idx in self.fv[v].items()
                           if a not in cut and b in cut}
                 if var is not None:
                     coeffs[var] = -sign
-                out.append(((v, ynode, cut), coeffs, const))
+                out.append(((v, y, cut), coeffs, const))
         return out
 
     def solve(self):

@@ -7,16 +7,21 @@ rejected everywhere so no inexact value can sneak into a computation.
 from fractions import Fraction
 from math import lcm
 
+from .errors import InputError
+
 
 def as_fraction(value):
     """Coerce an int, Fraction, or "p/q" string to an exact Fraction; a
-    float or a bool raises TypeError."""
+    float or a bool raises TypeError, a zero denominator InputError."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise InputError(f"zero denominator in {value!r}") from None
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 

@@ -312,16 +312,35 @@ def test_plain_invariant_state_is_dumped_as_json(tmp_path, capsys, monkeypatch, 
     assert json.loads(body) == dumped
 
 
-def test_python_dash_m_runs_the_cli():
+def _run_module(*argv):
+    """python -m asympath argv, from this checkout's src, as a finished process."""
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "asympath", "gen", "--random", "4", "--seed", "1",
-         "--max-weight", "5"],
+    return subprocess.run(
+        [sys.executable, "-m", "asympath", *argv],
         capture_output=True, text=True, timeout=60, env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _run_module("gen", "--random", "4", "--seed", "1", "--max-weight", "5")
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["n"] == 4
+
+
+@pytest.mark.parametrize("doc, argv, bad", [
+    ({"n": 2, "s": 0, "t": 1, "d": [[0, "1/0"], [1, 0]]}, ["atspp"], "1/0"),
+    ({"n": 2, "s": 0, "t": 1, "d": [[0, 1], [1, 0]], "weights": [1, "2/0"]},
+     ["latency", "--weighted"], "2/0"),
+    ({"n": 2, "s": 0, "t": 1, "d": [[0, 1], [1, 0]]}, ["lp-bound", "--alpha", "1/0"], "1/0"),
+], ids=["distance", "weight", "alpha"])
+def test_zero_denominator_exits_one_without_traceback(tmp_path, doc, argv, bad):
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(json.dumps(doc))
+    proc = _run_module(*argv, "--in", str(inst_file))
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == [f"error: zero denominator in '{bad}'"]
 
 
 # every subcommand on gen_random(5, seed=4, max_weight=12) with node weights

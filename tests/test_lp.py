@@ -58,6 +58,17 @@ class TestCutRelaxation:
             assert value <= oracle.exact_atspp(inst).value
             assert not lp.flow_alpha_violations(7, 0, 6, flow, 1)
 
+    def test_violations_list_degree_faults_then_short_cuts_in_node_order(self):
+        # s = 0 sends 1 to node 1, which passes only 1/2 on to t = 3; node 2
+        # receives nothing, so the cuts around 2 and around {2, 3} fall short
+        flow = ArcFlow({(0, 1): 1, (1, 3): F(1, 2)})
+        assert lp.flow_alpha_violations(4, 0, 3, flow, 1) == [
+            "imbalance at 1: out 1/2 in 1",
+            "sink in-flow 1/2 != 1",
+            "cut [2] receives 0 < 1",
+            "cut [2, 3] receives 1/2 < 1",
+        ]
+
     def test_monotone_in_alpha(self):
         inst = metric.gen_random(6, seed=11, max_weight=40)
         v_half, _ = lp.solve_lp_alpha(inst, F(1, 2))
