@@ -268,7 +268,10 @@ def max_flow_min_cut(capacities, source, sink, nodes=None):
                     parent[v] = u
                     queue.append(v)
         if sink not in parent:
-            break
+            # this search missed the sink, so it visited exactly the
+            # residual-reachable set: the cut is everything else
+            cut = frozenset(v for v in node_set if v not in parent)
+            return Fraction(value, L), cut
         bottleneck = None
         v = sink
         while parent[v] is not None:
@@ -284,17 +287,6 @@ def max_flow_min_cut(capacities, source, sink, nodes=None):
             residual[v][u] += bottleneck
             v = u
         value += bottleneck
-
-    reachable = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v, cap in residual[u].items():
-            if cap > 0 and v not in reachable:
-                reachable.add(v)
-                queue.append(v)
-    cut = frozenset(v for v in node_set if v not in reachable)
-    return Fraction(value, L), cut
 
 
 def max_bipartite_matching(adj):

@@ -101,8 +101,7 @@ def solve_lp_alpha(inst, alpha):
     model, xv = build_alpha_lp(inst, alpha)
 
     def separate(sol):
-        needs = ((v, alpha) for v in range(n) if v != s)
-        cuts = {cut for _, _, cut in _short_cuts(_extract_flow(sol, inst), s, needs, range(n))}
+        cuts = _alpha_short_cuts(_extract_flow(sol, inst), s, alpha, range(n))
         return [
             (cut, {xv[(u, w)]: ONE for u in range(n) if u not in cut for w in cut if w != u},
              alpha)
@@ -128,6 +127,16 @@ def _short_cuts(flow, s, needs, nodes):
             value, cut = max_flow_min_cut(flow, s, v, nodes=nodes)
             if value < need:
                 yield v, value, cut
+
+
+def _alpha_short_cuts(flow, s, alpha, nodes):
+    """{cut: value} for each distinct cut over nodes that receives less
+    than alpha from s in flow, in the order of the first target it is
+    short for."""
+    cuts = {}
+    for _, value, cut in _short_cuts(flow, s, ((v, alpha) for v in nodes if v != s), nodes):
+        cuts.setdefault(cut, value)
+    return cuts
 
 
 def flow_alpha_violations(nodes, s, t, flow, alpha):
@@ -160,9 +169,8 @@ def flow_alpha_violations(nodes, s, t, flow, alpha):
     if not set(flow.nodes()) <= set(nodes):
         violations.append("flow leaves the node set")
         return violations
-    needs = ((v, alpha) for v in nodes if v != s)
     violations += (f"cut {sorted(cut)} receives {value} < {alpha}"
-                   for _, value, cut in _short_cuts(flow, s, needs, nodes))
+                   for cut, value in _alpha_short_cuts(flow, s, alpha, nodes).items())
     return violations
 
 

@@ -15,6 +15,8 @@ from functools import cached_property
 from .errors import InfeasibleError, InputError
 from .rational import as_fraction, common_denominator, scaled_matrix, to_json
 
+_ARRAY = (list, tuple)  # what JSON arrays load as; a str or dict is not one
+
 
 @dataclass(frozen=True)
 class MetricInstance:
@@ -23,8 +25,9 @@ class MetricInstance:
     d is an n x n matrix of nonnegative rationals with zero diagonal.
     weights, when present, are positive per-node rationals used by the
     weighted latency objective.  Both are stored as Fractions; a float
-    raises TypeError; n, s and t must be ints (not bools) or InputError is
-    raised.  The metric itself is checked by validate().
+    raises TypeError; n, s and t must be ints (not bools), and d, its rows
+    and weights lists or tuples, or InputError is raised.  The metric
+    itself is checked by validate().
     """
 
     n: int
@@ -39,8 +42,9 @@ class MetricInstance:
             raise InputError(f"n, s and t must be ints, got {self.n!r}, {self.s!r}, {self.t!r}")
         if self.n < 2:
             raise InputError(f"instance needs at least 2 nodes, got {self.n}")
-        if len(self.d) != self.n or any(len(row) != self.n for row in self.d):
-            raise InputError("distance matrix is not n x n")
+        if (not isinstance(self.d, _ARRAY) or len(self.d) != self.n
+                or any(not isinstance(row, _ARRAY) or len(row) != self.n for row in self.d)):
+            raise InputError("distance matrix is not an n x n array of arrays")
         object.__setattr__(self, "d", tuple(tuple(map(as_fraction, row)) for row in self.d))
         if not (0 <= self.s < self.n and 0 <= self.t < self.n):
             raise InputError("s or t out of range")
@@ -71,8 +75,8 @@ class MetricInstance:
         instance's own."""
         if weights is None:
             return [self.weight(v) for v in range(self.n)]
-        if len(weights) != self.n:
-            raise InputError("weights length differs from n")
+        if not isinstance(weights, _ARRAY) or len(weights) != self.n:
+            raise InputError("weights are not an array of n values")
         return [as_fraction(w) for w in weights]
 
     def is_st_order(self, nodes):

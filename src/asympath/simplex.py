@@ -1,10 +1,10 @@
 """Exact rational linear programming via a dense two-phase simplex.
 
-Minimization only; all variables are nonnegative.  Pricing is Dantzig's
-rule with an automatic permanent switch to Bland's rule when the
-objective stalls, which guarantees termination.  Constraint rows can be
-appended after a solve and the optimum restored with dual simplex pivots,
-which keeps cutting-plane loops cheap.
+Minimization only; all variables are nonnegative.  One primal loop runs
+both phases.  Pricing is Dantzig's rule, switched to Bland's rule for the
+rest of a phase once its objective stalls, which guarantees termination.
+Constraint rows can be appended after a solve and the optimum restored
+with dual simplex pivots, which keeps cutting-plane loops cheap.
 
 Row representation.  Every tableau row, and the objective and phase-1
 reduced-cost rows, is a list of Python int numerators over one positive
@@ -128,13 +128,6 @@ class LpSolution:
     values: dict
     objective: Fraction
 
-    def to_jsonable(self):
-        doc = {"status": self.status}
-        if self.status == OPTIMAL:
-            doc["objective"] = self.objective
-            doc["values"] = {n: v for n, v in self.values.items() if v}
-        return to_json(doc)
-
 
 class SimplexSolver:
     """Stateful solver: solve() once, then optionally add cut rows and
@@ -152,8 +145,6 @@ class SimplexSolver:
         self._p1_den = 1
         self._ncols = 0
         self._nstruct = model.num_vars
-        self._bland = False
-        self._stall = 0
         self._pivots = 0
 
     # -- public API ---------------------------------------------------
@@ -162,11 +153,10 @@ class SimplexSolver:
         self._build()
         if not self._phase1():
             self.status = INFEASIBLE
-            return self.solution()
-        if not self._phase2():
+        elif not self._optimize(phase1=False):
             self.status = UNBOUNDED
-            return self.solution()
-        self.status = OPTIMAL
+        else:
+            self.status = OPTIMAL
         return self.solution()
 
     def add_ge_cut(self, coeffs, rhs):
@@ -263,26 +253,18 @@ class SimplexSolver:
 
     def _build(self):
         m = self.model
-        nstruct = m.num_vars
-        rows = []
-        senses = []
+        # a sign flip swaps <= and >= but keeps the slack count
+        ncols = m.num_vars + sum(1 for sense, _, _ in m.constraints if sense != "=")
+        tableau = []
+        dens = []
+        basis = []
+        si = m.num_vars
+        ai = ncols  # artificial basis ids follow the slacks; no column is stored
         for sense, coeffs, rhs in m.constraints:
             if rhs < 0:
                 coeffs = {j: -c for j, c in coeffs.items()}
                 rhs = -rhs
                 sense = {"<=": ">=", ">=": "<=", "=": "="}[sense]
-            rows.append((coeffs, rhs))
-            senses.append(sense)
-
-        nslack = sum(1 for s in senses if s in ("<=", ">="))
-        ncols = nstruct + nslack
-
-        tableau = []
-        dens = []
-        basis = []
-        si = nstruct
-        ai = ncols  # artificial basis ids follow the slacks; no column is stored
-        for (coeffs, rhs), sense in zip(rows, senses):
             full, den = _int_row(coeffs, rhs, ncols)
             if sense == "<=":
                 full[si] = den
@@ -317,8 +299,6 @@ class SimplexSolver:
             for j, a in _nonzeros(self._rows[i]):
                 p1[j] -= f * a
         self._p1, self._p1_den = _reduced(p1, den)
-        self._bland = False
-        self._stall = 0
         # the stall limit counts the artificial columns as if they were stored
         if not self._optimize(phase1=True, nart=len(art_rows)):
             raise SolverError("phase 1 cannot be unbounded")
@@ -344,48 +324,34 @@ class SimplexSolver:
             del self._dens[i]
             del self._basis[i]
 
-    def _phase2(self):
-        self._bland = False
-        self._stall = 0
-        return self._optimize(phase1=False)
-
     # -- core mechanics ---------------------------------------------------
 
-    def _pricing_row(self, phase1):
-        return (self._p1, self._p1_den) if phase1 else (self._obj, self._obj_den)
-
     def _optimize(self, phase1, nart=0):
+        """Primal simplex on the phase-1 or the real pricing row: True at
+        an optimum, False if unbounded."""
         stall_limit = 60 + 2 * (len(self._rows) + self._ncols + nart)
-        objrow, den = self._pricing_row(phase1)
-        last_val, last_den = objrow[-1], den
+        bland, stall, last = False, 0, None  # last: (numerator, den) of the last new value
         while True:
-            c = self._entering(objrow)
+            objrow, den = (self._p1, self._p1_den) if phase1 else (self._obj, self._obj_den)
+            if last is None or objrow[-1] * last[1] != last[0] * den:
+                last, stall = (objrow[-1], den), 0
+            else:
+                stall += 1
+                bland = bland or stall > stall_limit
+            # one row shares one positive denominator, so numerators decide
+            if bland:
+                c = next((j for j in range(self._ncols) if objrow[j] < 0), -1)
+            else:
+                # Dantzig: the first most negative reduced cost
+                costs = objrow[:self._ncols]
+                best = min(costs, default=0)
+                c = costs.index(best) if best < 0 else -1
             if c == -1:
                 return True
             r = self._leaving(c)
             if r == -1:
                 return False
             self._pivot(r, c)
-            objrow, den = self._pricing_row(phase1)
-            if objrow[-1] * last_den != last_val * den:
-                last_val, last_den = objrow[-1], den
-                self._stall = 0
-            else:
-                self._stall += 1
-                if self._stall > stall_limit:
-                    self._bland = True
-
-    def _entering(self, objrow):
-        # one row shares one positive denominator, so numerators decide
-        if self._bland:
-            for j in range(self._ncols):
-                if objrow[j] < 0:
-                    return j
-            return -1
-        # Dantzig: the first most negative reduced cost
-        costs = objrow[:self._ncols]
-        best = min(costs, default=0)
-        return costs.index(best) if best < 0 else -1
 
     def _leaving(self, c):
         # ratio rhs / row[c]: the row's denominator cancels, and rows are

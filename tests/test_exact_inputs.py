@@ -106,10 +106,17 @@ def test_exact_value_is_accepted(entry, value):
     lambda: atspp.solve_atspp(INST, iterations=2.5),
     lambda: metric.metric_closure(3, {(0, 1): 5, (1, 2): 5, (2, 0): 5, (-1, 0): 1}, 0, 2),
     lambda: metric.metric_closure(3, {(0, 1): 5, (1, 2): 5, (2, 0): 5, (0, 5): 1}, 0, 2),
+    # a str or dict has a length and items, but each character would be
+    # read as a one-digit rational
+    lambda: MetricInstance(n=2, s=0, t=1, d=["05", "30"]),
+    lambda: MetricInstance(n=2, s=0, t=1, d={"07": 1, "20": 2}),
+    lambda: MetricInstance(INST.n, INST.s, INST.t, INST.d, weights="1" * INST.n),
+    lambda: total_latency(INST, PATH, weights="1" * INST.n),
 ], ids=["cover-node", "induced-node", "total-latency-weights", "exact-latency-weights",
         "k-person-k", "k-person-bool-k", "cover-float-k", "multipath-bool-k",
         "solve-k-person-float-k", "atspp-float-iterations", "closure-negative-node",
-        "closure-node-past-n"])
+        "closure-node-past-n", "string-rows", "dict-distances", "string-weights",
+        "total-latency-string-weights"])
 def test_misfit_argument_raises_input_error(call):
     with pytest.raises(InputError) as exc:
         call()

@@ -68,6 +68,15 @@ class TestCutRelaxation:
             "cut [2] receives 0 < 1",
             "cut [2, 3] receives 1/2 < 1",
         ]
+        # s = 0 sends 4/3; {2, 3} is the short cut for both 2 and 3 and is
+        # listed once, at target 2
+        flow = ArcFlow({(0, 1): 1, (1, 4): 1, (2, 3): F(1, 2), (0, 2): F(1, 3)})
+        assert lp.flow_alpha_violations(range(5), 0, 4, flow, 1) == [
+            "source out-flow 4/3 != 1",
+            "imbalance at 2: out 1/2 in 1/3",
+            "imbalance at 3: out 0 in 1/2",
+            "cut [2, 3] receives 1/3 < 1",
+        ]
 
     def test_monotone_in_alpha(self):
         inst = metric.gen_random(6, seed=11, max_weight=40)
