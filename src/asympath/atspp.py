@@ -175,20 +175,17 @@ def _splice_components(paths, state):
     return paths
 
 
-def solve_atspp(inst, iterations=None):
+def solve_atspp(inst):
     """Hamiltonian s-t path within a logarithmic factor of the cut LP.
 
-    Runs the cover loop, orders the surviving nodes topologically along
-    the accumulated acyclic paths (consecutive nodes always share a path
-    arc), splices contracted cycles back in, and shortcuts.  Returns
-    (HamPath, state) where state carries the full per-iteration trace.
+    Runs 2 ceil(log2 n) + 1 rounds of the cover loop, orders the
+    surviving nodes topologically along the accumulated acyclic paths
+    (consecutive nodes always share a path arc), splices contracted cycles
+    back in, and shortcuts.  Returns (HamPath, state) where state carries
+    the full per-iteration trace.
     """
     n, s, t = inst.n, inst.s, inst.t
-    if iterations is None:
-        T = 2 * ceil_log2_int(n) + 1
-    else:
-        T = require_count(iterations, "iterations")
-    state = run_cover_loop(inst, 1, T)
+    state = run_cover_loop(inst, 1, 2 * ceil_log2_int(n) + 1)
 
     arcs = state.arc_multiset()
     order = topological_order(arcs.keys(), state.W)
@@ -275,14 +272,15 @@ def multipath_cover(inst, k):
     return paths
 
 
-def solve_k_person(inst, k, diagnostics=False):
+def solve_k_person(inst, k):
     """Exactly k s-t paths covering every node, cover-loop based.
 
     Runs the cover loop with k-covers, partitions the surviving interior
     nodes into at most k chains via a matching on the reachability
     relation of the acyclic part, realizes each chain with direct metric
     arcs, pads with plain s-t paths, and splices contracted cycles in.
-    Returns ((paths, total_cost), state).
+    Returns ((paths, total_cost), state); the state's trace ends with a
+    "chain-diagnostics" entry of the arcs the chains would overuse.
     """
     require_count(k, "k")
     n, s, t = inst.n, inst.s, inst.t
@@ -326,16 +324,15 @@ def solve_k_person(inst, k, diagnostics=False):
                     f"path {p}")
     total = sum((inst.path_cost(p) for p in paths), ZERO)
 
-    if diagnostics:
-        state.trace.append({
-            "iteration": "chain-diagnostics",
-            "cover_cost": ZERO,
-            "edge_overuse": _chain_edge_usage(chains, arcs, state.W, s, t, k),
-        })
+    state.trace.append({
+        "iteration": "chain-diagnostics",
+        "cover_cost": ZERO,
+        "edge_overuse": _chain_edge_usage(chains, arcs, s, t, k),
+    })
     return (paths, total), state
 
 
-def _chain_edge_usage(chains, arcs, W, s, t, k):
+def _chain_edge_usage(chains, arcs, s, t, k):
     """Walk-based realization check: how often each acyclic arc would be
     used if chains were connected along actual F walks; arcs used more
     than k times are reported."""

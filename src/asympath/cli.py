@@ -52,7 +52,7 @@ def run_solver(cmd, args):
 
 
 def cmd_atspp(args, inst):
-    hp, state = atspp_mod.solve_atspp(inst, iterations=args.iters)
+    hp, state = atspp_mod.solve_atspp(inst)
     lines = [f"path: {_route(hp.nodes)}", f"cost: {format_rational(hp.cost)}"]
     return lines, {"path": hp.nodes, "cost": hp.cost}, state
 
@@ -63,7 +63,7 @@ def _paths_result(paths, total, state):
 
 
 def cmd_kperson(args, inst):
-    (paths, total), state = atspp_mod.solve_k_person(inst, args.k, diagnostics=args.trace)
+    (paths, total), state = atspp_mod.solve_k_person(inst, args.k)
     return _paths_result(paths, total, state)
 
 
@@ -73,7 +73,7 @@ def cmd_multipath(args, inst):
 
 
 def cmd_latency(args, inst):
-    order, state = latency_mod.solve_latency(inst, weighted=args.weighted)
+    order, state = latency_mod.solve_latency(inst)
     lines = [f"order: {_route(order.order)}",
              f"total latency: {format_rational(order.total)}"]
     doc = {"order": order.order, "total": order.total,
@@ -84,15 +84,12 @@ def cmd_latency(args, inst):
 def cmd_lp_bound(args, inst):
     if (args.alpha is None) == (not args.latency):
         raise InputError("choose exactly one of --alpha RAT or --latency")
-    if args.weighted and not args.latency:
-        raise InputError("--weighted applies only with --latency")
     alpha = None if args.latency else as_fraction(args.alpha)
     if args.dump_model:
-        model = (lp.build_latency_lp(inst, weighted=args.weighted) if args.latency
-                 else lp.build_alpha_lp(inst, alpha)[0])
+        model = lp.build_latency_lp(inst) if args.latency else lp.build_alpha_lp(inst, alpha)[0]
         _write(_json(model.to_jsonable()), args.dump_model)
     if args.latency:
-        sol = lp.solve_latency_lp(inst, weighted=args.weighted)
+        sol = lp.solve_latency_lp(inst)
         value, doc = sol.objective, {"latency_lp": sol.to_jsonable()}
     else:
         value, flow = lp.solve_lp_alpha(inst, alpha)
@@ -189,7 +186,6 @@ def build_parser():
     infile = group("--in", dest="infile", metavar="FILE", required=True)
     k = group("--k", type=int, required=True)
     trace = group("--trace", action="store_true")
-    weighted = group("--weighted", action="store_true")
 
     def add(name, summary, func, *groups):
         p = sub.add_parser(name, help=summary, parents=list(groups))
@@ -206,15 +202,13 @@ def build_parser():
     p.add_argument("--seed", type=int)
     p.add_argument("--max-weight", type=int)
 
-    p = add_solver("atspp", "approximate the cheapest Hamiltonian s-t path", cmd_atspp, trace)
-    p.add_argument("--iters", type=int, default=None)
+    add_solver("atspp", "approximate the cheapest Hamiltonian s-t path", cmd_atspp, trace)
 
     add_solver("kperson", "k s-t paths covering all nodes", cmd_kperson, k, trace)
     add_solver("multipath", "k log n paths covering all nodes", cmd_multipath, k)
-    add_solver("latency", "approximate the minimum total latency order", cmd_latency,
-               weighted, trace)
+    add_solver("latency", "approximate the minimum total latency order", cmd_latency, trace)
 
-    p = add_solver("lp-bound", "exact LP lower bound", cmd_lp_bound, weighted)
+    p = add_solver("lp-bound", "exact LP lower bound", cmd_lp_bound)
     p.add_argument("--alpha", metavar="RAT")
     p.add_argument("--latency", action="store_true")
     p.add_argument("--dump-model", metavar="FILE", help="write the LP as JSON")

@@ -76,11 +76,11 @@ def append(route, path, inst):
     return route + path[idx:], hop
 
 
-def total_latency(inst, order, weights=None):
-    """Exact (weighted) total latency of a Hamiltonian s-t order."""
+def total_latency(inst, order):
+    """Exact node-weighted total latency of a Hamiltonian s-t order."""
     if not inst.is_st_order(order):
         raise InputError("order must visit every node exactly once, s first, t last")
-    w = inst.node_weights(weights)
+    w = inst.node_weights()
     total = ZERO
     acc = ZERO
     for u, v in zip(order, order[1:]):
@@ -89,9 +89,10 @@ def total_latency(inst, order, weights=None):
     return total
 
 
-def solve_latency(inst, weighted=False):
-    """Hamiltonian s-t order with total latency within a logarithmic
-    factor of the relaxation optimum.  Returns (LatencyOrder, BucketState).
+def solve_latency(inst):
+    """Hamiltonian s-t order with node-weighted total latency within a
+    logarithmic factor of the relaxation optimum.  Returns (LatencyOrder,
+    BucketState).
 
     Requires strictly positive off-diagonal distances (zero distances
     would produce zero fractional latencies and break the bucketing).
@@ -101,7 +102,7 @@ def solve_latency(inst, weighted=False):
         if inst.d[u][v] <= 0:
             raise DegenerateLatencyError(
                 f"distance ({u},{v}) must be positive for the latency solver")
-    w = inst.node_weights() if weighted else [ONE] * n
+    w = inst.node_weights()
     log_n = ceil_log2_int(n)
 
     def weight(nodes):
@@ -112,7 +113,7 @@ def solve_latency(inst, weighted=False):
         sub, back = induced_subinstance(inst, nodes, s, end)
         return sub, lambda path: [back[v] for v in path]
 
-    lp_sol = solve_latency_lp(inst, weighted=weighted)
+    lp_sol = solve_latency_lp(inst)
     floored, sigma = normalize_latencies(lp_sol, inst)
     state = BucketState(sigma=sigma, lp_objective=lp_sol.objective,
                         floored_objective=floored.objective)
@@ -245,7 +246,7 @@ def solve_latency(inst, weighted=False):
         acc += inst.d[u][v]
         latencies[v] = acc
     latencies[s] = ZERO
-    total = total_latency(inst, final, w)
+    total = total_latency(inst, final)
     if total != sum((w[v] * lat for v, lat in latencies.items()), ZERO):
         raise InvariantError("latency bookkeeping mismatch", state=state)
     return LatencyOrder(order=final, latencies=latencies, total=total), state

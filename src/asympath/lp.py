@@ -196,7 +196,6 @@ class LatencyLpSolution:
     flows: dict
     ell: dict
     objective: Fraction
-    weighted: bool = False
     rounds: int = 0
 
     def verify(self, inst):
@@ -291,10 +290,10 @@ def _scaled(values, L):
     return {k: q.numerator * (L // q.denominator) for k, q in values.items()}
 
 
-def build_latency_lp(inst, weighted=False):
+def build_latency_lp(inst):
     """The latency relaxation as solve_latency_lp starts from: the reduced
     program of _ReducedLatency before any lazy row is added."""
-    return _ReducedLatency(inst, weighted=weighted).model
+    return _ReducedLatency(inst).model
 
 
 def _net_inflow(arcs, u):
@@ -319,15 +318,14 @@ class _ReducedLatency:
     this model is pinned, and reordering either changes it.
     """
 
-    def __init__(self, inst, weighted=False):
+    def __init__(self, inst):
         self.inst = inst
-        self.weighted = weighted
         n, s, t = inst.n, inst.s, inst.t
         self.n, self.s, self.t = n, s, t
         P = self.P = [v for v in range(n) if v not in (s, t)]
         model = self.model = LpModel()
 
-        self.lv = {v: model.add_var(f"l[{v}]", obj=inst.weight(v) if weighted else ONE)
+        self.lv = {v: model.add_var(f"l[{v}]", obj=inst.weight(v))
                    for v in range(n) if v != s}
         self.y = {(u, w): model.add_var(f"x[{u},{w}]") for u, w in combinations(P, 2)}
         self.z = {k: model.add_var("x3[{},{},{}]".format(*k)) for k in permutations(P, 3)}
@@ -477,17 +475,17 @@ class _ReducedLatency:
         ell = {v: values[self.lv[v]] for v in self.lv}
         return LatencyLpSolution(
             n=n, s=self.s, t=self.t, x=x, x3=x3, flows=flows, ell=ell,
-            objective=objective, weighted=self.weighted, rounds=rounds,
+            objective=objective, rounds=rounds,
         )
 
 
-def solve_latency_lp(inst, weighted=False):
-    """Exact optimum of the latency relaxation with lazy cut separation.
+def solve_latency_lp(inst):
+    """Exact optimum of the node-weighted latency relaxation, with lazy cuts.
 
     The returned solution is reconstructed over the full variable set and
     every constraint family is re-verified exactly before returning.
     """
-    full = _ReducedLatency(inst, weighted=weighted).solve()
+    full = _ReducedLatency(inst).solve()
     bad = full.verify(inst)
     if bad:
         raise InvariantError("reconstructed latency solution failed verification",
@@ -510,11 +508,7 @@ def normalize_latencies(sol, inst):
     top = sol.ell[t]
     floor = top / (n * n)
     ell2 = {v: max(val, floor) for v, val in sol.ell.items()}
-
-    def weight(v):
-        return inst.weight(v) if sol.weighted else ONE
-
-    objective2 = sum((weight(v) * val for v, val in ell2.items()), ZERO)
+    objective2 = sum((inst.weight(v) * val for v, val in ell2.items()), ZERO)
     if objective2 > (ONE + Fraction(1, n)) * sol.objective:
         raise InvariantError("latency floor rule exceeded its growth bound")
     floored = replace(sol, ell=ell2, objective=objective2)

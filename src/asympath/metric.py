@@ -23,11 +23,11 @@ class MetricInstance:
     """Complete asymmetric metric with source s and sink t.
 
     d is an n x n matrix of nonnegative rationals with zero diagonal.
-    weights, when present, are positive per-node rationals used by the
-    weighted latency objective.  Both are stored as Fractions; a float
-    raises TypeError; n, s and t must be ints (not bools), and d, its rows
-    and weights lists or tuples, or InputError is raised.  The metric
-    itself is checked by validate().
+    weights, when present, are positive per-node rationals that weight
+    every latency objective; without them each node weighs 1.  Both are
+    stored as Fractions; a float raises TypeError; n, s and t must be ints
+    (not bools), and d, its rows and weights lists or tuples of n values,
+    or InputError is raised.  The metric itself is checked by validate().
     """
 
     n: int
@@ -51,7 +51,9 @@ class MetricInstance:
         if self.s == self.t:
             raise InputError("s and t must be distinct")
         if self.weights is not None:
-            object.__setattr__(self, "weights", tuple(self.node_weights(self.weights)))
+            if not isinstance(self.weights, _ARRAY) or len(self.weights) != self.n:
+                raise InputError("weights are not an array of n values")
+            object.__setattr__(self, "weights", tuple(map(as_fraction, self.weights)))
             if any(w <= 0 for w in self.weights):
                 raise InputError("node weights must be positive")
 
@@ -70,14 +72,9 @@ class MetricInstance:
     def weight(self, v):
         return self.weights[v] if self.weights is not None else Fraction(1)
 
-    def node_weights(self, weights=None):
-        """Per-node weights as Fractions: the given n of them, else the
-        instance's own."""
-        if weights is None:
-            return [self.weight(v) for v in range(self.n)]
-        if not isinstance(weights, _ARRAY) or len(weights) != self.n:
-            raise InputError("weights are not an array of n values")
-        return [as_fraction(w) for w in weights]
+    def node_weights(self):
+        """Per-node weights as Fractions, all 1 when the instance has none."""
+        return [self.weight(v) for v in range(self.n)]
 
     def is_st_order(self, nodes):
         """True iff nodes visits every node exactly once, s first, t last."""

@@ -94,8 +94,8 @@ def exact_atspp(inst):
     return ExactResult(value=Fraction(value, L), order=order)
 
 
-def exact_latency(inst, weights=None):
-    """Minimum total weighted latency by subset dynamic programming.
+def exact_latency(inst):
+    """Minimum total node-weighted latency by subset dynamic programming.
 
     Traversing an arc charges its length times the total weight of all
     still-unvisited nodes, so the accumulated cost at the end equals the
@@ -105,7 +105,7 @@ def exact_latency(inst, weights=None):
         raise SizeLimitError(f"exact_latency capped at n <= {LATENCY_CAP}")
     s, t = inst.s, inst.t
     interior = [v for v in range(inst.n) if v not in (s, t)]
-    w = inst.node_weights(weights)
+    w = inst.node_weights()
     W = common_denominator(w)
     w = [x.numerator * (W // x.denominator) for x in w]
     # pending[mask]: weight still waiting once the interior subset mask is visited

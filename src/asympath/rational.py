@@ -80,11 +80,10 @@ def floor_log2(value):
     if f <= 0:
         raise ValueError("floor_log2 requires a positive value")
     p = f.numerator.bit_length() - f.denominator.bit_length()
-    # bit-length estimate can be off by one in either direction
-    while Fraction(2) ** p > f:
+    # 2^(a-1) <= num < 2^a and 2^(b-1) <= den < 2^b put f strictly between
+    # 2^(p-1) and 2^(p+1) for p = a - b, so p is right or one too high
+    if Fraction(2) ** p > f:
         p -= 1
-    while Fraction(2) ** (p + 1) <= f:
-        p += 1
     return p
 
 

@@ -98,15 +98,9 @@ def brute_atspp(inst):
     return best, best_order
 
 
-def brute_latency(inst, weights=None):
-    """Minimum total (weighted) latency by permuting interior nodes."""
+def brute_latency(inst):
+    """Minimum total node-weighted latency by permuting interior nodes."""
     interior = [v for v in range(inst.n) if v not in (inst.s, inst.t)]
-
-    def w(v):
-        if weights is not None:
-            return weights[v]
-        return inst.weight(v)
-
     best = None
     best_order = None
     for perm in permutations(interior):
@@ -115,7 +109,7 @@ def brute_latency(inst, weights=None):
         acc = ZERO
         for u, v in zip(order, order[1:]):
             acc += inst.d[u][v]
-            total += w(v) * acc
+            total += inst.weight(v) * acc
         if best is None or total < best:
             best = total
             best_order = order

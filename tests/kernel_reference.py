@@ -199,8 +199,8 @@ def exact_atspp(inst):
     return ExactResult(value=best, order=order)
 
 
-def exact_latency(inst, weights=None):
-    """Minimum total weighted latency by subset dynamic programming.
+def exact_latency(inst):
+    """Minimum total node-weighted latency by subset dynamic programming.
 
     Traversing an arc charges its length times the total weight of all
     still-unvisited nodes, so the accumulated cost at the end equals the
@@ -209,12 +209,7 @@ def exact_latency(inst, weights=None):
     if inst.n > LATENCY_CAP:
         raise SizeLimitError(f"exact_latency capped at n <= {LATENCY_CAP}")
     s, t, d = inst.s, inst.t, inst.d
-
-    def w(v):
-        if weights is not None:
-            return Fraction(weights[v])
-        return inst.weight(v)
-
+    w = inst.weight
     interior = [v for v in range(inst.n) if v not in (s, t)]
     m = len(interior)
     # weight still waiting once mask is visited and we sit at some node

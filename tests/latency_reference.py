@@ -16,7 +16,7 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def build_full_latency_lp(inst, weighted=False):
+def build_full_latency_lp(inst):
     """The full ordering/flow relaxation as an explicit LpModel.
 
     Contains the latency, pairwise-order, triple-order, and per-target
@@ -29,7 +29,7 @@ def build_full_latency_lp(inst, weighted=False):
     lv = {}
     for v in range(n):
         if v != s:
-            lv[v] = model.add_var(f"l[{v}]", obj=inst.weight(v) if weighted else ONE)
+            lv[v] = model.add_var(f"l[{v}]", obj=inst.weight(v))
     xp = {}
     for u in range(n):
         for w in range(n):
@@ -118,10 +118,10 @@ def build_full_latency_lp(inst, weighted=False):
     return model
 
 
-def solve_latency_lp_reference(inst, weighted=False):
+def solve_latency_lp_reference(inst):
     """Slow reference: the full model solved directly, cuts separated on
     the full flow variables.  Used by tests to pin down equivalence."""
-    model = build_full_latency_lp(inst, weighted=weighted)
+    model = build_full_latency_lp(inst)
     n, s = inst.n, inst.s
 
     def separate(sol):

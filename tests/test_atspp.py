@@ -51,15 +51,9 @@ class TestSolveAtspp:
         assert "consecutive-share-arc" in names
         json.dumps(state.to_jsonable())  # must serialize
 
-    def test_iteration_override(self):
-        inst = metric.gen_random(6, seed=3, max_weight=20)
-        hp, state = atspp.solve_atspp(inst, iterations=9)
-        assert len(state.cover_costs) == 9
-        assert sorted(hp.nodes) == list(range(6))
-
     def test_bad_n(self):
-        with pytest.raises(InputError):
-            atspp.solve_atspp(metric.gen_random(2, seed=1, max_weight=5), iterations=0)
+        with pytest.raises(InputError, match="at least 2 nodes"):
+            atspp.solve_atspp(metric.MetricInstance(1, 0, 0, ((0,),)))
 
 
 class TestMultipathCover:
@@ -108,7 +102,7 @@ class TestKPerson:
             n = 7 + seed % 2
             k = 2
             inst = metric.gen_random(n, seed=50 + seed, max_weight=35)
-            (paths, total), state = atspp.solve_k_person(inst, k, diagnostics=True)
+            (paths, total), state = atspp.solve_k_person(inst, k)
             assert len(paths) == k
             assert {v for p in paths for v in p} == set(range(n))
             value, _ = lp.solve_lp_alpha(inst, F(1, k))
@@ -144,14 +138,14 @@ def _cover_layer(inst):
     hp, state = atspp.solve_atspp(inst)
     doc = [hp.nodes, hp.cost, state.to_jsonable()]
     for k in (1, 2, 3):
-        (paths, total), kstate = atspp.solve_k_person(inst, k, diagnostics=True)
+        (paths, total), kstate = atspp.solve_k_person(inst, k)
         doc.append([paths, total, kstate.to_jsonable()])
         doc.append(atspp.multipath_cover(inst, k))
     return doc
 
 
 # (n, max_weight) -> digest of solve_atspp, solve_k_person (k = 1..3, with
-# diagnostics) and multipath_cover (k = 1..3) over seeds 0..3, as recorded
+# its chain diagnostics) and multipath_cover (k = 1..3) over seeds 0..3, as recorded
 # before the cover loop was rewritten around one arc-multiset vocabulary
 COVER_LAYER_DIGESTS = {
     (2, 7): '101f9b7ceb5b3442',

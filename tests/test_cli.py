@@ -215,14 +215,61 @@ def test_bool_or_float_n_s_t_exits_one(tmp_path, capsys, header):
     assert "path:" not in captured.out
 
 
+def _without_weights(inst_file, path):
+    doc = json.loads(inst_file.read_text())
+    del doc["weights"]
+    path.write_text(json.dumps(doc))
+    return path
+
+
 def test_unweighted_latency_on_weighted_file(tmp_path, capsys):
+    # a file's weights weight its latency; the unweighted latency is the
+    # file without "weights"
     inst = metric.gen_random(5, seed=4, max_weight=12)
     inst_file = tmp_path / "weighted.json"
-    metric.save_instance(metric.MetricInstance(5, 0, 4, inst.d, weights=(1, 2, 3, 4, 5)),
-                         inst_file)
-    assert main(["latency", "--in", str(inst_file)]) == 0
-    assert main(["latency", "--weighted", "--in", str(inst_file)]) == 0
+    weights = (1, 2, 3, 4, 5)
+    metric.save_instance(metric.MetricInstance(5, 0, 4, inst.d, weights=weights), inst_file)
+    plain_file = _without_weights(inst_file, tmp_path / "plain.json")
+    for path, weight in ((inst_file, weights), (plain_file, (1,) * 5)):
+        out_file = tmp_path / "out.json"
+        assert main(["latency", "--in", str(path), "--out", str(out_file)]) == 0
+        doc = json.loads(out_file.read_text())
+        lat = {int(v): Fraction(x) for v, x in doc["latencies"].items()}
+        assert Fraction(doc["total"]) == sum(weight[v] * x for v, x in lat.items())
     assert "total latency:" in capsys.readouterr().out
+
+
+# the weights [1, 5, 1, 1] on a path metric: every latency command reads them
+WEIGHTED_PATH = {"n": 4, "s": 0, "t": 3, "weights": [1, 5, 1, 1],
+                 "d": [[0, 1, 2, 3], [1, 0, 1, 2], [2, 1, 0, 1], [3, 2, 1, 0]]}
+
+
+def test_every_latency_command_reads_the_weights(tmp_path, capsys):
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(json.dumps(WEIGHTED_PATH))
+    values = []
+    for argv in (["lp-bound", "--latency"], ["oracle", "--problem", "latency"], ["latency"]):
+        assert main([*argv, "--in", str(inst_file)]) == 0
+        values.append(Fraction(capsys.readouterr().out.splitlines()[-1].split()[-1]))
+    lp_bound, opt, total = values
+    assert lp_bound <= opt <= total
+    assert opt == total == 10
+
+
+@pytest.mark.parametrize("command, removed", [
+    (["latency"], ["--weighted"]),
+    (["lp-bound", "--latency"], ["--weighted"]),
+    (["atspp"], ["--iters", "1"]),
+])
+def test_removed_flags_exit_one(tmp_path, capsys, command, removed):
+    # the weights come from the file and the cover loop's length from n
+    inst_file = tmp_path / "inst.json"
+    inst_file.write_text(json.dumps(WEIGHTED_PATH))
+    assert main([*command, *removed, "--in", str(inst_file)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    assert captured.err.endswith(f"error: unrecognized arguments: {' '.join(removed)}\n")
+    assert captured.out == ""
 
 
 def test_zero_distance_latency_input_exits_one(tmp_path, capsys):
@@ -234,15 +281,6 @@ def test_zero_distance_latency_input_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: distance (0,1) must be positive")
     assert "total latency:" not in captured.out
-
-
-def test_lp_bound_weighted_needs_latency(tmp_path, capsys):
-    inst_file = tmp_path / "inst.json"
-    assert main(["gen", "--random", "4", "--seed", "1", "--out", str(inst_file)]) == 0
-    assert main(["lp-bound", "--alpha", "1", "--weighted", "--in", str(inst_file)]) == 1
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: --weighted")
-    assert captured.out == ""
 
 
 def _gen_trace_instance(tmp_path):
@@ -269,8 +307,8 @@ def test_latency_invariant_error_dumps_state_as_json(tmp_path, capsys, monkeypat
     inst_file = _gen_trace_instance(tmp_path)
     solve_latency = latency_mod.solve_latency
 
-    def failing(inst, weighted=False):
-        _, state = solve_latency(inst, weighted=weighted)
+    def failing(inst):
+        _, state = solve_latency(inst)
         state.check("forced failure", False, Fraction(1, 3))
 
     monkeypatch.setattr(latency_mod, "solve_latency", failing)
@@ -331,7 +369,7 @@ def test_python_dash_m_runs_the_cli():
 @pytest.mark.parametrize("doc, argv, bad", [
     ({"n": 2, "s": 0, "t": 1, "d": [[0, "1/0"], [1, 0]]}, ["atspp"], "1/0"),
     ({"n": 2, "s": 0, "t": 1, "d": [[0, 1], [1, 0]], "weights": [1, "2/0"]},
-     ["latency", "--weighted"], "2/0"),
+     ["latency"], "2/0"),
     ({"n": 2, "s": 0, "t": 1, "d": [[0, 1], [1, 0]]}, ["lp-bound", "--alpha", "1/0"], "1/0"),
 ], ids=["distance", "weight", "alpha"])
 def test_zero_denominator_exits_one_without_traceback(tmp_path, doc, argv, bad):
@@ -344,28 +382,29 @@ def test_zero_denominator_exits_one_without_traceback(tmp_path, doc, argv, bad):
 
 
 # every subcommand on gen_random(5, seed=4, max_weight=12) with node weights
-# (1, 3, 3/2, 2, 1): stdout and each --out / --dump-model file, digested byte
-# for byte; the gap-report CSV without its ms column, and the --trace
-# documents through the cover loop's "iterations" and "checks" and the
-# latency run's "steps" and "checks"
+# (1, 3, 3/2, 2, 1), and the latency commands also on that file without
+# "weights": stdout and each --out / --dump-model file, digested byte for
+# byte; the gap-report CSV without its ms column, and the --trace documents
+# through the cover loop's "iterations" and "checks" and the latency run's
+# "steps" and "checks"
 CLI_COMMANDS = {
     "gen": ["gen", "--random", "5", "--seed", "4", "--max-weight", "12"],
     "gen-bad-gap": ["gen", "--bad-gap", "12", "--out", "{out}"],
     "atspp": ["atspp", "--in", "{inst}", "--out", "{out}"],
-    "atspp-iters": ["atspp", "--iters", "1", "--in", "{inst}", "--trace", "--out", "{out}"],
     "atspp-trace": ["atspp", "--in", "{inst}", "--trace", "--out", "{out}"],
     "kperson": ["kperson", "--k", "2", "--in", "{inst}", "--out", "{out}"],
     "kperson-trace": ["kperson", "--k", "2", "--in", "{inst}", "--trace", "--out", "{out}"],
     "multipath": ["multipath", "--k", "2", "--in", "{inst}", "--out", "{out}"],
     "latency": ["latency", "--in", "{inst}", "--out", "{out}"],
-    "latency-weighted": ["latency", "--weighted", "--in", "{inst}", "--out", "{out}"],
     "latency-trace": ["latency", "--in", "{inst}", "--trace", "--out", "{out}"],
+    "latency-unweighted": ["latency", "--in", "{plain}", "--out", "{out}"],
+    "latency-trace-unweighted": ["latency", "--in", "{plain}", "--trace", "--out", "{out}"],
     "lp-bound-alpha": ["lp-bound", "--alpha", "1/2", "--in", "{inst}", "--out", "{out}",
                        "--dump-model", "{model}"],
     "lp-bound-latency": ["lp-bound", "--latency", "--in", "{inst}", "--out", "{out}",
                          "--dump-model", "{model}"],
-    "lp-bound-weighted": ["lp-bound", "--latency", "--weighted", "--in", "{inst}",
-                          "--out", "{out}"],
+    "lp-bound-latency-unweighted": ["lp-bound", "--latency", "--in", "{plain}",
+                                    "--out", "{out}", "--dump-model", "{model}"],
     "oracle-atspp": ["oracle", "--problem", "atspp", "--in", "{inst}", "--out", "{out}"],
     "oracle-latency": ["oracle", "--problem", "latency", "--in", "{inst}", "--out", "{out}"],
     "oracle-kperson": ["oracle", "--problem", "kperson", "--k", "3", "--in", "{inst}",
@@ -380,17 +419,17 @@ CLI_DIGESTS = {
     "gen": "7675f3b52b9ca3b3",
     "gen-bad-gap": "83d6b2d3de2582cc",
     "atspp": "688c2c3b968d2796",
-    "atspp-iters": "16a2a10a3b5ae839",
     "atspp-trace": "7f317a66be10903a",
     "kperson": "4e955462b53cae64",
     "kperson-trace": "9b07754e7a199158",
     "multipath": "4e955462b53cae64",
-    "latency": "2d7098e7f94a64bc",
-    "latency-weighted": "8ef1b5c4d04de6a8",
-    "latency-trace": "486ffbf0333a28c7",
+    "latency": "8ef1b5c4d04de6a8",
+    "latency-trace": "2dad3369b8e4130e",
+    "latency-unweighted": "2d7098e7f94a64bc",
+    "latency-trace-unweighted": "486ffbf0333a28c7",
     "lp-bound-alpha": "93e3f5181ea9af16",
-    "lp-bound-latency": "124634cbcd532507",
-    "lp-bound-weighted": "8e20250c1c165640",
+    "lp-bound-latency": "e3c8557485be747d",
+    "lp-bound-latency-unweighted": "124634cbcd532507",
     "oracle-atspp": "14e63cfe5ebad82b",
     "oracle-latency": "ea0081d5b66edc28",
     "oracle-kperson": "9742f3d2e4c594c1",
@@ -419,10 +458,11 @@ def test_cli_outputs_are_pinned(tmp_path, capsys):
     metric.save_instance(metric.MetricInstance(5, 0, 4, base.d,
                                                weights=(1, 3, Fraction(3, 2), 2, 1)),
                          inst_file)
+    plain_file = _without_weights(inst_file, tmp_path / "plain.json")
     digests = {}
     for name, command in CLI_COMMANDS.items():
         paths = {key: tmp_path / f"{name}.{key}" for key in ("out", "model")}
-        argv = [arg.format(inst=inst_file, **paths) for arg in command]
+        argv = [arg.format(inst=inst_file, plain=plain_file, **paths) for arg in command]
         assert main(argv) == 0, name
         stdout = capsys.readouterr().out
         doc = [_without_ms(stdout) if name.startswith("gap-report") else stdout]

@@ -1,7 +1,7 @@
 """Floats and bools are rejected where values enter exact arithmetic; ints
 and "p/q" strings are taken as the exact rationals they name.  Nodes, arcs
-and weight lists that do not fit the instance, and path or iteration counts
-that are not ints of at least 1, raise InputError."""
+and weight lists that do not fit the instance, and path counts that are not
+ints of at least 1, raise InputError."""
 
 from fractions import Fraction as F
 
@@ -10,7 +10,6 @@ import pytest
 from asympath import atspp, cover, lp, metric, oracle, rational
 from asympath.errors import InputError
 from asympath.graphs import ArcFlow, max_flow_min_cut
-from asympath.latency import total_latency
 from asympath.metric import MetricInstance, gen_random
 from asympath.simplex import LpModel, SimplexSolver
 
@@ -62,7 +61,6 @@ ENTRY_POINTS = {
     "SimplexSolver.add_ge_cut": _cut_rhs,
     "ArcFlow.add": _arc_add,
     "ArcFlow.scaled": lambda v: ArcFlow({(0, 1): 1}).scaled(v),
-    "latency.total_latency": lambda v: total_latency(INST, PATH, weights=[v] * INST.n),
     "lp.build_alpha_lp": lambda v: lp.build_alpha_lp(INST, v)[0].constraints,
     "lp.solve_lp_alpha": lambda v: lp.solve_lp_alpha(INST, v),
     "lp.flow_alpha_violations": lambda v: lp.flow_alpha_violations(
@@ -96,27 +94,26 @@ def test_exact_value_is_accepted(entry, value):
 @pytest.mark.parametrize("call", [
     lambda: cover.min_k_path_cycle_cover(INST, {0, 3, 7}, 1),
     lambda: metric.induced_subinstance(INST, {0, 1, 9}, 0, 1),
-    lambda: total_latency(INST, PATH, weights=[1, 1]),
-    lambda: oracle.exact_latency(INST, weights=[1, 2]),
     lambda: oracle.exact_k_person(INST, 0),
     lambda: oracle.exact_k_person(INST, True),
     lambda: cover.min_k_path_cycle_cover(INST, range(INST.n), 1.5),
     lambda: atspp.multipath_cover(INST, True),
     lambda: atspp.solve_k_person(INST, 1.5),
-    lambda: atspp.solve_atspp(INST, iterations=2.5),
     lambda: metric.metric_closure(3, {(0, 1): 5, (1, 2): 5, (2, 0): 5, (-1, 0): 1}, 0, 2),
     lambda: metric.metric_closure(3, {(0, 1): 5, (1, 2): 5, (2, 0): 5, (0, 5): 1}, 0, 2),
+    lambda: metric.metric_closure(1, {}, 0, 0),
+    lambda: metric.metric_closure(3, {(0, 1): 5, (1, 2): -1, (2, 0): 5}, 0, 2),
+    lambda: metric.gen_bad_gap(9),
     # a str or dict has a length and items, but each character would be
     # read as a one-digit rational
     lambda: MetricInstance(n=2, s=0, t=1, d=["05", "30"]),
     lambda: MetricInstance(n=2, s=0, t=1, d={"07": 1, "20": 2}),
     lambda: MetricInstance(INST.n, INST.s, INST.t, INST.d, weights="1" * INST.n),
-    lambda: total_latency(INST, PATH, weights="1" * INST.n),
-], ids=["cover-node", "induced-node", "total-latency-weights", "exact-latency-weights",
-        "k-person-k", "k-person-bool-k", "cover-float-k", "multipath-bool-k",
-        "solve-k-person-float-k", "atspp-float-iterations", "closure-negative-node",
-        "closure-node-past-n", "string-rows", "dict-distances", "string-weights",
-        "total-latency-string-weights"])
+    lambda: MetricInstance(INST.n, INST.s, INST.t, INST.d, weights=[1, 1]),
+], ids=["cover-node", "induced-node", "k-person-k", "k-person-bool-k", "cover-float-k",
+        "multipath-bool-k", "solve-k-person-float-k", "closure-negative-node",
+        "closure-node-past-n", "closure-one-node", "closure-negative-arc", "bad-gap-small-d",
+        "string-rows", "dict-distances", "string-weights", "short-weights"])
 def test_misfit_argument_raises_input_error(call):
     with pytest.raises(InputError) as exc:
         call()

@@ -212,8 +212,8 @@ def test_exact_latency_equals_fraction_reference(inst, weights):
     res = oracle.exact_latency(inst)
     assert res == ref.exact_latency(inst)
     assert_all_fractions([res.value])
-    weights = weights[:inst.n]
-    assert oracle.exact_latency(inst, weights) == ref.exact_latency(inst, weights)
+    reweighted = replace(inst, weights=weights[:inst.n])
+    assert oracle.exact_latency(reweighted) == ref.exact_latency(reweighted)
 
 
 def test_zero_distance_ties_keep_the_first_order():
@@ -267,7 +267,6 @@ def test_zero_distances_and_ties_pin_the_orders():
     assert oracle.exact_atspp(inst) == ref.exact_atspp(inst) == atspp
     latency = oracle.ExactResult(value=F(29, 2), order=[2, 4, 0, 6, 3, 1, 5])
     assert oracle.exact_latency(inst) == ref.exact_latency(inst) == latency
-    assert oracle.exact_latency(inst, weights) == ref.exact_latency(inst, weights) == latency
 
 
 def _latency_lp_cases():
@@ -278,11 +277,11 @@ def _latency_lp_cases():
             for u in range(5) for v in range(5) if u != v}
     arcs[(3, 0)] = arcs[(0, 1)] = 0  # zero latency at 0, and a tie with t = 1
     cases = [
-        (metric.gen_random(4, seed=3, max_weight=20), False),
-        (metric.gen_random(5, seed=2, max_weight=50), True),
-        (metric.metric_closure(5, arcs, 3, 1, weights=[1, F(1, 2), 2, F(5, 3), 1]), True),
+        metric.gen_random(4, seed=3, max_weight=20),
+        metric.gen_random(5, seed=2, max_weight=50),
+        metric.metric_closure(5, arcs, 3, 1, weights=[1, F(1, 2), 2, F(5, 3), 1]),
     ]
-    return [(inst, solve_latency_lp(inst, weighted=w)) for inst, w in cases]
+    return [(inst, solve_latency_lp(inst)) for inst in cases]
 
 
 def _perturbed(sol, rng):

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -102,16 +103,17 @@ class TestSolveLatency:
         base = metric.gen_random(5, seed=12, max_weight=12)
         inst = metric.MetricInstance(
             5, 0, 4, base.d, weights=(F(1), F(4), F(1, 2), F(3), F(2)))
-        order, state = latency.solve_latency(inst, weighted=True)
+        order, state = latency.solve_latency(inst)
         best = oracle.exact_latency(inst).value
         assert order.total >= best
-        assert order.total == total_latency(inst, order.order, inst.weights)
+        assert order.total == total_latency(inst, order.order)
 
     def test_unweighted_run_ignores_instance_weights(self):
         base = metric.gen_random(5, seed=12, max_weight=12)
         inst = metric.MetricInstance(
             5, 0, 4, base.d, weights=(F(1), F(4), F(1, 2), F(3), F(2)))
-        order, _ = latency.solve_latency(inst)
+        # the unweighted latency of a weighted instance is the instance without weights
+        order, _ = latency.solve_latency(replace(inst, weights=None))
         plain, _ = latency.solve_latency(base)
         assert order == plain
         assert order.total == sum(order.latencies.values())
@@ -147,8 +149,8 @@ def _pipeline_instance(n, seed, max_weight):
 
 def _pipeline(inst):
     doc = []
-    for weighted in (False, True):
-        order, state = latency.solve_latency(inst, weighted=weighted)
+    for case in (replace(inst, weights=None), inst):
+        order, state = latency.solve_latency(case)
         doc.append([order.order, list(order.latencies.items()), order.total,
                     state.to_jsonable(), state.lp_objective,
                     state.floored_objective, state.normalized])
@@ -186,6 +188,6 @@ def test_latency_pipeline_is_pinned(n, max_weight):
 def test_weighted_bookkeeping_is_cross_checked(monkeypatch):
     real = latency.total_latency
     monkeypatch.setattr(latency, "total_latency",
-                        lambda inst, order, weights=None: real(inst, order, weights) + 1)
+                        lambda inst, order: real(inst, order) + 1)
     with pytest.raises(InvariantError, match="latency bookkeeping mismatch"):
-        latency.solve_latency(_pipeline_instance(5, 0, 7), weighted=True)
+        latency.solve_latency(_pipeline_instance(5, 0, 7))

@@ -161,7 +161,7 @@ class TestLatencyModel:
         base = metric.gen_random(4, seed=21, max_weight=10)
         weights = (F(1), F(4), F(2), F(3))
         inst = metric.MetricInstance(4, 0, 3, base.d, weights=weights)
-        sol = lp.solve_latency_lp(inst, weighted=True)
+        sol = lp.solve_latency_lp(inst)
         assert sol.objective == sum(
             weights[v] * sol.ell[v] for v in range(4) if v != 0
         )
@@ -175,7 +175,7 @@ class TestNormalize:
         # force equal latencies by hand on a copy of the solution
         equal = lp.LatencyLpSolution(
             n=sol.n, s=sol.s, t=sol.t, x=sol.x, x3=sol.x3, flows=sol.flows,
-            ell={v: F(5) for v in sol.ell}, objective=F(10), weighted=False,
+            ell={v: F(5) for v in sol.ell}, objective=F(10),
         )
         floored, sigma = lp.normalize_latencies(equal, inst)
         assert floored.ell == equal.ell
@@ -186,7 +186,7 @@ class TestNormalize:
         sol = lp.solve_latency_lp(inst)
         skewed = lp.LatencyLpSolution(
             n=sol.n, s=sol.s, t=sol.t, x=sol.x, x3=sol.x3, flows=sol.flows,
-            ell={1: F(1, 100), 2: F(9)}, objective=F(1, 100) + 9, weighted=False,
+            ell={1: F(1, 100), 2: F(9)}, objective=F(1, 100) + 9,
         )
         floored, sigma = lp.normalize_latencies(skewed, inst)
         assert floored.ell[1] == F(9, 9)  # raised to ell(t)/n^2 = 9/9
@@ -211,7 +211,7 @@ class TestNormalize:
         sol = lp.solve_latency_lp(inst)
         broken = lp.LatencyLpSolution(
             n=sol.n, s=sol.s, t=sol.t, x=sol.x, x3=sol.x3, flows=sol.flows,
-            ell={1: F(0), 2: F(4)}, objective=F(4), weighted=False,
+            ell={1: F(0), 2: F(4)}, objective=F(4),
         )
         with pytest.raises(DegenerateLatencyError):
             lp.normalize_latencies(broken, inst)
@@ -271,7 +271,7 @@ REDUCED_LATENCY_DIGESTS = {
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_reduced_latency_model_cuts_and_solution_are_pinned(monkeypatch, n, seed, weighted):
     inst = _pin_instance(n, seed, weighted)
-    model = lp._ReducedLatency(inst, weighted=weighted).model
+    model = lp._ReducedLatency(inst).model
     rounds = []
     add_ge_cut, reoptimize = SimplexSolver.add_ge_cut, SimplexSolver.reoptimize
 
@@ -288,7 +288,7 @@ def test_reduced_latency_model_cuts_and_solution_are_pinned(monkeypatch, n, seed
 
     monkeypatch.setattr(SimplexSolver, "add_ge_cut", record_cut)
     monkeypatch.setattr(SimplexSolver, "reoptimize", record_round)
-    sol = lp.solve_latency_lp(inst, weighted=weighted)
+    sol = lp.solve_latency_lp(inst)
     solution = {
         "x": sorted(sol.x.items()),
         "x3": sorted(sol.x3.items()),
