@@ -9,6 +9,7 @@ round costs only a handful of pivots.
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain, combinations, permutations
 
 from .errors import DegenerateLatencyError, InputError, InvariantError
@@ -61,14 +62,22 @@ def build_alpha_lp(inst, alpha):
     lazily by solve_lp_alpha.  Returns (model, var_index) with var_index
     mapping each arc to its column.
     """
-    alpha = as_fraction(alpha)
+    model, xv = _alpha_model(inst.n, inst.s, inst.t, as_fraction(alpha))
+    model.obj = [inst.d[u][v] for u, v in xv]
+    return model, xv
+
+
+def _alpha_model(n, s, t, alpha):
+    """build_alpha_lp's rows, which depend on nothing but (n, s, t, alpha),
+    with a zero objective; columns in inst.arcs() order."""
     if not ZERO < alpha <= ONE:
         raise InputError("alpha must lie in (0, 1]")
-    n, s, t = inst.n, inst.s, inst.t
     model = LpModel()
     xv = {}
-    for u, v in inst.arcs():
-        xv[(u, v)] = model.add_var(f"x[{u},{v}]", obj=inst.d[u][v])
+    for u in range(n):
+        for v in range(n):
+            if u != v:
+                xv[(u, v)] = model.add_var(f"x[{u},{v}]")
 
     for u in range(n):
         if u in (s, t):
@@ -89,6 +98,20 @@ def build_alpha_lp(inst, alpha):
     return model, xv
 
 
+# LP(alpha) shapes whose phase-1 start is kept; one entry holds a
+# tableau of about 2n rows by n^2 columns
+_ALPHA_STARTS = 16
+
+
+@lru_cache(maxsize=_ALPHA_STARTS)
+def _alpha_start(n, s, t, alpha):
+    """(started solver, var_index) for LP(alpha) on (n, s, t), alpha a
+    Fraction.  Phase 1 reads only the rows, so every instance of that
+    shape shares it; solve_lp_alpha prices a copy and never mutates it."""
+    model, xv = _alpha_model(n, s, t, alpha)
+    return SimplexSolver(model).start(), xv
+
+
 def solve_lp_alpha(inst, alpha):
     """Exact optimum of the cut relaxation with requirement alpha in (0, 1].
 
@@ -98,7 +121,9 @@ def solve_lp_alpha(inst, alpha):
     """
     alpha = as_fraction(alpha)
     n, s = inst.n, inst.s
-    model, xv = build_alpha_lp(inst, alpha)
+    start, xv = _alpha_start(n, s, inst.t, alpha)
+    d, L = inst.scaled
+    solver = start.with_objective([d[u][v] for u, v in xv], L)
 
     def separate(sol):
         cuts = _alpha_short_cuts(_extract_flow(sol, inst), s, alpha, range(n))
@@ -108,7 +133,7 @@ def solve_lp_alpha(inst, alpha):
             for cut in sorted(cuts, key=sorted)
         ]
 
-    sol, _ = _cutting_planes(SimplexSolver(model), separate, n, "cut relaxation")
+    sol, _ = _cutting_planes(solver, separate, n, "cut relaxation")
     return sol.objective, _extract_flow(sol, inst)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 
-from .errors import InfeasibleError, InputError
+from .errors import InfeasibleError, InputError, require_count
 from .rational import as_fraction, common_denominator, scaled_matrix, to_json
 
 _ARRAY = (list, tuple)  # what JSON arrays load as; a str or dict is not one
@@ -141,7 +141,7 @@ def metric_closure(n, arcs, s, t, weights=None):
     costs scaled to ints by the lcm L of their denominators, and the
     distances come back as Fraction(dist, L).
     """
-    if n < 2:
+    if require_count(n, "n") < 2:
         raise InputError("metric_closure needs n >= 2")
     exact = {}
     nodes = range(n)
@@ -184,17 +184,16 @@ def metric_closure(n, arcs, s, t, weights=None):
         s=s,
         t=t,
         d=tuple(tuple(Fraction(x, L) for x in row) for row in dist),
-        weights=tuple(as_fraction(w) for w in weights) if weights else None,
+        weights=weights,
     )
 
 
 def gen_random(n, seed, max_weight):
     """Random complete digraph with integer arc weights in [1, max_weight],
     closed under shortest paths.  s=0, t=n-1.  Deterministic per seed."""
-    if n < 2:
+    if require_count(n, "n") < 2:
         raise InputError("gen_random needs n >= 2")
-    if max_weight < 1:
-        raise InputError("max_weight must be >= 1")
+    require_count(max_weight, "max_weight")
     rng = random.Random(seed)
     arcs = {}
     for u in range(n):

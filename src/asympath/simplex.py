@@ -19,8 +19,9 @@ lowest terms only once its denominator reaches 2**_REDUCE_BITS.  Rows are
 therefore not always in lowest terms, and the tableau after any step
 equals the fully reduced one as rationals, not bit for bit.  Values enter
 as Fractions (LpModel rows and cut rows, turned into integer rows over the
-lcm of their denominators) and leave as Fractions, in lowest terms, only
-in solution().
+lcm of their denominators) or as int costs over one denominator
+(with_objective), and leave as Fractions, in lowest terms, only in
+solution().
 
 Comparisons stay exact without Fractions.  Entries of one row share its
 positive denominator, so pricing compares numerators.  A ratio of two
@@ -39,13 +40,21 @@ during phase 1, but every decision above is invariant under a positive
 row scale, so the path is the same, and so is the tableau after phase 1
 as rationals.  The phase-1 stall limit still counts the artificial
 columns, as the Bland switch depends on it.
+
+Phase 1 reads no objective either.  The reduced-cost row is made once
+phase 1 ends, by eliminating each basic column from c against that
+column's unit row; it equals, as rationals, the row that pivoting c along
+with phase 1 would give.  So a started tableau (start()) can be priced
+with any objective (with_objective()), and phase 2 then takes the path,
+and reaches the optimum, of a solve from scratch.
 """
 
+import copy
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
-from .errors import InputError, SolverError
+from .errors import InputError, SolverError, require_count
 from .rational import as_fraction, to_json
 
 ZERO = Fraction(0)
@@ -131,7 +140,8 @@ class LpSolution:
 
 class SimplexSolver:
     """Stateful solver: solve() once, then optionally add cut rows and
-    reoptimize() with dual simplex."""
+    reoptimize() with dual simplex.  start() runs phase 1 alone; copies of
+    a started solver from with_objective() solve with phase 2 only."""
 
     def __init__(self, model):
         self.model = model
@@ -139,24 +149,57 @@ class SimplexSolver:
         self._rows = []      # tableau row numerators, each length ncols+1 (rhs last)
         self._dens = []      # positive denominator per tableau row
         self._basis = []     # basic column per row
-        self._obj = []       # reduced-cost row numerators for the real objective
+        self._obj = []       # reduced-cost row numerators, once priced
         self._obj_den = 1
         self._p1 = None      # phase-1 reduced-cost row numerators while phase 1 runs
         self._p1_den = 1
         self._ncols = 0
         self._nstruct = model.num_vars
         self._pivots = 0
+        self._started = False  # tableau built and phase 1 run
 
     # -- public API ---------------------------------------------------
 
-    def solve(self):
+    def start(self):
+        """Build the tableau and run phase 1, purge included.  Reads only
+        the constraint rows, so one started solver can be priced with
+        several objectives by with_objective.  Returns self; its status is
+        INFEASIBLE if the rows have no feasible point."""
         self._build()
         if not self._phase1():
             self.status = INFEASIBLE
-        elif not self._optimize(phase1=False):
-            self.status = UNBOUNDED
-        else:
-            self.status = OPTIMAL
+        self._started = True
+        return self
+
+    def with_objective(self, nums, den):
+        """A copy of this started solver, with its own rows, that minimizes
+        the structural costs nums / den (int numerators, positive int
+        denominator).  Its solve() runs phase 2 only, and its pivots count
+        starts from this solver's phase-1 pivots."""
+        if not self._started or self._obj:
+            raise SolverError("with_objective needs a started, unpriced solver")
+        if len(nums) != self._nstruct:
+            raise InputError(f"{len(nums)} costs for {self._nstruct} variables")
+        require_count(den, "den")
+        priced = copy.copy(self)
+        priced._rows = [row[:] for row in self._rows]
+        priced._dens = self._dens[:]
+        priced._basis = self._basis[:]
+        if priced.status is None:
+            priced._obj, priced._obj_den = priced._in_basis(
+                list(nums) + [0] * (self._ncols + 1 - self._nstruct), den)
+        return priced
+
+    def solve(self):
+        """Phase 1 unless start() ran it, then phase 2 on the model's
+        objective, or on the costs with_objective gave this copy."""
+        if not self._started:
+            self.start()
+        if self.status is None:
+            if not self._obj:
+                self._obj, self._obj_den = self._in_basis(
+                    *_int_row(dict(enumerate(self.model.obj)), ZERO, self._ncols))
+            self.status = OPTIMAL if self._optimize(phase1=False) else UNBOUNDED
         return self.solution()
 
     def add_ge_cut(self, coeffs, rhs):
@@ -176,10 +219,7 @@ class SimplexSolver:
         self._ncols += 1
         row, den = _int_row({j: -c for j, c in coeffs.items()}, -as_fraction(rhs), self._ncols)
         row[slack_col] = den
-        # express the new row in terms of the current basis
-        for i, bc in enumerate(self._basis):
-            if row[bc]:
-                row, den = _eliminate(row, den, _nonzeros(self._rows[i]), self._dens[i], bc)
+        row, den = self._in_basis(row, den)
         self._rows.append(row)
         self._dens.append(den)
         self._basis.append(slack_col)
@@ -282,8 +322,16 @@ class SimplexSolver:
         self._rows = tableau
         self._dens = dens
         self._basis = basis
-        self._obj, self._obj_den = _int_row(dict(enumerate(m.obj)), ZERO, ncols)
         self._ncols = ncols
+
+    def _in_basis(self, row, den):
+        """row / den with every basic column eliminated against its unit
+        row, which is zero in every other basic column, so one pass
+        suffices; row itself may be updated in place."""
+        for i, bc in enumerate(self._basis):
+            if row[bc]:
+                row, den = _eliminate(row, den, _nonzeros(self._rows[i]), self._dens[i], bc)
+        return row, den
 
     # -- phases ---------------------------------------------------------
 
@@ -384,7 +432,7 @@ class SimplexSolver:
         for i, row in enumerate(rows):
             if i != r and row[c]:
                 rows[i], dens[i] = _eliminate(row, dens[i], pnz, pden, c)
-        if self._obj[c]:
+        if self._obj and self._obj[c]:
             self._obj, self._obj_den = _eliminate(self._obj, self._obj_den, pnz, pden, c)
         if self._p1 is not None and self._p1[c]:
             self._p1, self._p1_den = _eliminate(self._p1, self._p1_den, pnz, pden, c)

@@ -156,6 +156,15 @@ def test_gap_report_csv_is_pinned(capsys):
     assert "".join(line.rsplit(",", 1)[0] + "\n" for line in lines) == GAP_REPORT_2009
 
 
+def test_gap_report_readme_example_is_pinned(capsys):
+    # 16 of the 20 rows repeat a size, so most LP(1) solves start from a
+    # shared phase-1 tableau; pinned by the sha256 of the CSV without ms
+    assert main(["gap-report", "--count", "20", "--nmin", "6", "--nmax", "9",
+                 "--seed", "3"]) == 0
+    text = "".join(line.rsplit(",", 1)[0] + "\n" for line in capsys.readouterr().out.splitlines())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == "4cb76a1ebac5b036"
+
+
 def test_gap_report_ratios_within_budget():
     from asympath.rational import as_fraction, ceil_log2_int
 

@@ -110,10 +110,21 @@ def test_exact_value_is_accepted(entry, value):
     lambda: MetricInstance(n=2, s=0, t=1, d={"07": 1, "20": 2}),
     lambda: MetricInstance(INST.n, INST.s, INST.t, INST.d, weights="1" * INST.n),
     lambda: MetricInstance(INST.n, INST.s, INST.t, INST.d, weights=[1, 1]),
+    # an empty weights array is a misfit, not "no weights"
+    lambda: metric.metric_closure(2, {(0, 1): 1, (1, 0): 1}, 0, 1, weights=[]),
+    lambda: metric.metric_closure(2, {(0, 1): 1, (1, 0): 1}, 0, 1, weights=()),
+    lambda: metric.gen_random(4, seed=1, max_weight=True),
+    lambda: metric.gen_random(4, seed=1, max_weight=3.0),
+    lambda: metric.gen_random(4, seed=1, max_weight=2.5),
+    lambda: metric.gen_random(3.0, seed=1, max_weight=5),
+    lambda: metric.metric_closure(3.0, {(0, 1): 5, (1, 2): 5, (2, 0): 5}, 0, 2),
 ], ids=["cover-node", "induced-node", "k-person-k", "k-person-bool-k", "cover-float-k",
         "multipath-bool-k", "solve-k-person-float-k", "closure-negative-node",
         "closure-node-past-n", "closure-one-node", "closure-negative-arc", "bad-gap-small-d",
-        "string-rows", "dict-distances", "string-weights", "short-weights"])
+        "string-rows", "dict-distances", "string-weights", "short-weights",
+        "closure-empty-list-weights", "closure-empty-tuple-weights", "random-bool-max-weight",
+        "random-float-max-weight", "random-fractional-max-weight", "random-float-n",
+        "closure-float-n"])
 def test_misfit_argument_raises_input_error(call):
     with pytest.raises(InputError) as exc:
         call()

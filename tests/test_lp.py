@@ -114,6 +114,84 @@ class TestCuttingPlanes:
         assert next(keys) == 40
 
 
+# -- LP(alpha) from a shared phase-1 start -------------------------------------
+
+ALPHAS = [F(1), F(1, 2), F(2, 3), F(3, 4)]
+
+
+def _mixed_closure(rng, n, s, t):
+    """Metric closure of a complete digraph whose arc costs mix zeros and
+    denominators 1..7, so closed distances have mixed denominators."""
+    arcs = {(u, v): F(rng.choice([0, 0, *range(1, 30)]), rng.randint(1, 7))
+            for u in range(n) for v in range(n) if u != v}
+    return metric.metric_closure(n, arcs, s, t)
+
+
+def _traced_lp_alpha(monkeypatch, inst, alpha):
+    """solve_lp_alpha(inst, alpha) with (value, flow, pivots, rounds), where
+    pivots counts phase 1 too.  The same rounds run from a scratch solve of
+    build_alpha_lp must agree on every one of them."""
+    seen = []
+    cutting_planes = lp._cutting_planes
+
+    def spy(solver, separate, n, what):
+        sol, rounds = cutting_planes(solver, separate, n, what)
+        scratch = SimplexSolver(lp.build_alpha_lp(inst, alpha)[0])
+        assert cutting_planes(scratch, separate, n, what) == (sol, rounds)
+        assert scratch.pivots == solver.pivots
+        seen.append((solver.pivots, rounds))
+        return sol, rounds
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lp, "_cutting_planes", spy)
+        value, flow = lp.solve_lp_alpha(inst, alpha)
+    (pivots, rounds), = seen
+    return value, flow, pivots, rounds
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8, 9, 12])
+def test_warm_lp_alpha_start_matches_cold_start(monkeypatch, n):
+    rng = random.Random(8000 + n)
+    rounds = 0
+    for alpha in ALPHAS:
+        s, t = rng.sample(range(n), 2)
+        insts = [_mixed_closure(rng, n, s, t) for _ in range(3)]
+        cold = []
+        for inst in insts:
+            lp._alpha_start.cache_clear()
+            cold.append(_traced_lp_alpha(monkeypatch, inst, alpha))
+        lp._alpha_start.cache_clear()
+        warm = [_traced_lp_alpha(monkeypatch, inst, alpha) for inst in insts]
+        assert warm == cold
+        assert lp._alpha_start.cache_info()[:2] == (2, 1)  # (hits, misses)
+        for inst, (value, flow, _, r) in zip(insts, warm):
+            assert value == flow.cost(inst)
+            assert not lp.flow_alpha_violations(n, s, t, flow, alpha)
+            rounds = max(rounds, r)
+    if n >= 7:
+        assert rounds > 1  # cut rows were added after the warm start
+
+
+def test_cached_start_is_never_mutated(monkeypatch):
+    inst = metric.gen_random(12, seed=5, max_weight=100)
+    lp._alpha_start.cache_clear()
+    start, _ = lp._alpha_start(inst.n, inst.s, inst.t, F(1))
+
+    def snapshot():
+        return ([row[:] for row in start._rows], start._dens[:], start._basis[:],
+                start._obj, start.status, start.pivots)
+
+    before = snapshot()
+    first = _traced_lp_alpha(monkeypatch, inst, 1)
+    assert first[3] > 1  # the run added cut rows
+    # the same shape again, for another instance and for the first one
+    other = metric.gen_random(12, seed=7, max_weight=100)
+    assert _traced_lp_alpha(monkeypatch, other, 1) != first
+    assert _traced_lp_alpha(monkeypatch, inst, 1) == first
+    assert snapshot() == before
+    assert lp._alpha_start.cache_info()[:2] == (3, 1)  # (hits, misses)
+
+
 class TestLatencyModel:
     def test_two_node_model_optimum(self):
         inst = metric.gen_random(2, seed=5, max_weight=12)

@@ -9,8 +9,11 @@ from hypothesis import strategies as st
 from asympath import simplex
 from asympath.errors import InputError, SolverError
 from asympath.graphs import max_flow_min_cut
-from asympath.lp import _extract_flow, _ReducedLatency, build_alpha_lp, solve_latency_lp, solve_lp_alpha
+from asympath.lp import (
+    _alpha_start, _extract_flow, _ReducedLatency, build_alpha_lp, solve_latency_lp, solve_lp_alpha,
+)
 from asympath.metric import gen_random
+from asympath.rational import common_denominator
 from asympath.simplex import (
     INFEASIBLE, OPTIMAL, UNBOUNDED, LpModel, SimplexSolver, _reduced, simplex_solve,
 )
@@ -217,6 +220,71 @@ def test_cut_and_reoptimize_matches_fresh_solve():
     assert reoptimized >= 20 and infeasible_cuts >= 1
 
 
+def _costs(obj):
+    """Exact costs as with_objective takes them: int numerators over one
+    positive int denominator."""
+    den = common_denominator(obj)
+    return [c.numerator * (den // c.denominator) for c in obj], den
+
+
+def test_priced_start_matches_a_fresh_solve():
+    """One started solver priced with several objectives takes each fresh
+    solve's pivots to the same result, before and after a cut, and is
+    left as it was."""
+    rng = random.Random(4242)
+    statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for trial in range(40):
+        m = LpModel()
+        nv = rng.randint(2, 5)
+        for i in range(nv):
+            m.add_var(f"x{i}")
+        for _ in range(rng.randint(2, 8)):
+            coeffs = _random_coeffs(rng, nv, -4, 6, 0.7)
+            if coeffs:
+                _add_row(m, rng.choice(["<=", ">=", "="]), coeffs, _random_rational(rng, -3, 10))
+        start = SimplexSolver(m).start()
+        before = ([row[:] for row in start._rows], start._dens[:], start._basis[:], start.pivots)
+        for _ in range(3):
+            # a negative cost leaves some objectives unbounded
+            obj = [_random_rational(rng, -2, 9) for _ in range(nv)]
+            fresh_model = LpModel()
+            for i, c in enumerate(obj):
+                fresh_model.add_var(f"x{i}", obj=c)
+            fresh_model.constraints = list(m.constraints)
+            fresh = SimplexSolver(fresh_model)
+            priced = start.with_objective(*_costs(obj))
+            assert priced.solve() == fresh.solve()
+            assert priced.pivots == fresh.pivots
+            statuses[fresh.status] += 1
+            if fresh.status == OPTIMAL:
+                cut = _random_coeffs(rng, nv, 0, 4, 0.8) or {0: F(1)}, _random_rational(rng, 1, 6)
+                for solver in (priced, fresh):
+                    solver.add_ge_cut(*cut)
+                assert priced.reoptimize() == fresh.reoptimize()
+                assert priced.pivots == fresh.pivots
+        assert ([row[:] for row in start._rows], start._dens[:], start._basis[:],
+                start.pivots) == before
+    assert statuses[OPTIMAL] >= 30 and statuses[INFEASIBLE] >= 5 and statuses[UNBOUNDED] >= 5
+
+
+def test_with_objective_needs_a_started_unpriced_solver():
+    m = LpModel()
+    x = m.add_var("x")
+    m.add_ge({x: 1}, 2)
+    with pytest.raises(SolverError):
+        SimplexSolver(m).with_objective([1], 1)
+    start = SimplexSolver(m).start()
+    priced = start.with_objective([3], 2)
+    with pytest.raises(SolverError):
+        priced.with_objective([1], 1)
+    assert priced.solve().objective == 3
+    for nums, den in (([1, 1], 1), ([1], 0), ([1], True)):
+        with pytest.raises(InputError):
+            start.with_objective(nums, den)
+    # a started solver solves with its model's own objective
+    assert start.solve().objective == 0
+
+
 def test_solution_values_satisfy_constraints_exactly():
     rng = random.Random(31)
     for trial in range(20):
@@ -380,6 +448,8 @@ def _lazy_and_eager(run):
     """
     runs = []
     for bits in (simplex._REDUCE_BITS, 0):
+        # each run builds and starts LP(alpha) afresh, under its own threshold
+        _alpha_start.cache_clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simplex, "_REDUCE_BITS", bits)
             pivots, solvers = [], []
