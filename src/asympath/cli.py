@@ -17,7 +17,7 @@ from fractions import Fraction
 from . import atspp as atspp_mod
 from . import latency as latency_mod
 from . import lp, metric, oracle
-from .errors import InputError, InvariantError, SolverError
+from .errors import InputError, InvariantError, SolverError, require_count
 from .rational import as_fraction, format_rational, rational_to_json, to_json
 
 
@@ -128,10 +128,28 @@ GAP_REPORT_COLUMNS = [
 ]
 
 
+def _hamiltonian_path(flow, inst):
+    """True iff flow is the unit flow of one Hamiltonian s-t path."""
+    if len(flow) != inst.n - 1 or any(amt != 1 for _, amt in flow.items()):
+        return False
+    succ = dict(flow.arcs())
+    path = [inst.s]
+    while path[-1] in succ and len(path) <= inst.n:
+        path.append(succ[path[-1]])
+    return inst.is_st_order(path)
+
+
 def gap_report_rows(count, nmin, nmax, seed, max_weight=100):
     """One atspp row per instance; all quantities except ms are exact and
-    reproducible for a given seed."""
-    if count < 1 or nmin < 2 or nmax < nmin:
+    reproducible for a given seed.  Up to oracle.ATSPP_CAP, opt is the
+    certified LP(1) optimum when its flow is one Hamiltonian s-t path
+    (every such path is LP(1)-feasible, so none is cheaper), and
+    exact_atspp's value otherwise."""
+    for value, name in ((count, "count"), (nmin, "nmin"), (nmax, "nmax")):
+        require_count(value, name)
+    if isinstance(seed, bool) or not isinstance(seed, int):
+        raise InputError(f"seed must be an int, got {seed!r}")
+    if nmin < 2 or nmax < nmin:
         raise InputError("need count >= 1 and 2 <= nmin <= nmax")
     rows = []
     for idx in range(count):
@@ -141,8 +159,13 @@ def gap_report_rows(count, nmin, nmax, seed, max_weight=100):
         t0 = time.perf_counter()
         hp, state = atspp_mod.solve_atspp(inst)
         value = hp.cost
-        lp_bound, _ = lp.solve_lp_alpha(inst, 1)
-        opt = oracle.exact_atspp(inst).value if n <= oracle.ATSPP_CAP else None
+        lp_bound, flow = lp.solve_lp_alpha(inst, 1)
+        if n > oracle.ATSPP_CAP:
+            opt = None
+        elif _hamiltonian_path(flow, inst):
+            opt = lp_bound
+        else:
+            opt = oracle.exact_atspp(inst).value
         ms = int((time.perf_counter() - t0) * 1000)
         passed = sum(1 for c in state.checks if c["pass"])
         rows.append({

@@ -4,13 +4,17 @@ to exact rational optimality with cutting planes.
 
 Violated cut constraints are found by exact max-flow separation; rows are
 appended to a solved tableau and reoptimized with dual simplex, so each
-round costs only a handful of pivots.
+round costs only a handful of pivots.  Every LP(alpha) optimum is then
+checked by an exact dual certificate read from the final basis.
 """
 
+from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain, combinations, permutations
+from math import gcd, lcm
+import operator
 
 from .errors import DegenerateLatencyError, InputError, InvariantError
 from .graphs import ArcFlow, max_flow_min_cut
@@ -134,7 +138,123 @@ def solve_lp_alpha(inst, alpha):
         ]
 
     sol, _ = _cutting_planes(solver, separate, n, "cut relaxation")
+    _certify(solver.rows(), [inst.d[u][v] for u, v in xv], solver.basis(),
+             list(sol.values.values()), sol.objective)
     return sol.objective, _extract_flow(sol, inst)
+
+
+# for each sense, the test of (lhs, rhs) that is true when the row fails
+_VIOLATED = {">=": operator.lt, "<=": operator.gt, "=": operator.ne}
+
+
+def _certify(rows, costs, basis, x, value):
+    """Check that x is an optimum, of cost value, of min costs . x subject
+    to rows (sense, coeffs, rhs) and x >= 0; InvariantError otherwise.
+
+    x must satisfy every row with costs . x == value.  The dual y is read
+    from basis ({row: column} as SimplexSolver.basis() gives it) alone:
+    y is 0 on each row whose slack is basic and on each row basis leaves
+    out, and solves B^T y = c_B on the rest.  Then each row's y must have
+    the sign its sense asks (>= 0 on >=, <= 0 on <=), every reduced cost
+    c_j - y . A_j must be nonnegative and b . y == value, so by weak
+    duality no x is cheaper.  Reads nothing but its arguments, and shares
+    no code with the tableau."""
+    nv = len(costs)
+    support = [(j, v) for j, v in enumerate(x) if v]
+    if any(v < 0 for _, v in support):
+        raise InvariantError("certificate: a variable is negative")
+    for r, (sense, coeffs, rhs) in enumerate(rows):
+        lhs = sum((coeffs[j] * v for j, v in support if j in coeffs), ZERO)
+        if _VIOLATED[sense](lhs, rhs):
+            raise InvariantError(f"certificate: x violates row {r}")
+    if sum((costs[j] * v for j, v in support), ZERO) != value:
+        raise InvariantError("certificate: c . x differs from the value")
+
+    columns = set(basis.values())
+    structural = columns.intersection(range(nv))
+    tight = [r for r in basis if nv + r not in columns]
+    if len(columns) != len(basis) or len(tight) != len(structural):
+        raise InvariantError("certificate: basis is not square")
+    # one equation y . A_j == c_j per basic variable j, over the tight rows
+    eqs = {j: {} for j in structural}
+    for r in tight:
+        for j, a in rows[r][1].items():
+            if j in eqs:
+                eqs[j][r] = a
+    y = _solve_square([(eqs[j], costs[j]) for j in sorted(structural)])
+
+    for r, yr in y.items():
+        sense = rows[r][0]
+        if yr < 0 and sense == ">=" or yr > 0 and sense == "<=":
+            raise InvariantError(f"certificate: the dual of row {r} has the wrong sign")
+    # y . A_j as ints over one denominator D: row r's coefficients over
+    # their lcm q[r], and y_r * D / q[r] an int
+    q = {r: lcm(*(a.denominator for a in rows[r][1].values())) for r, yr in y.items() if yr}
+    D = lcm(*(q[r] * y[r].denominator for r in q), *(c.denominator for c in costs))
+    ya = [0] * nv
+    for r, qr in q.items():
+        yr = y[r].numerator * (D // (qr * y[r].denominator))
+        for j, a in rows[r][1].items():
+            ya[j] += a.numerator * (qr // a.denominator) * yr
+    if any(c.numerator * (D // c.denominator) < v for c, v in zip(costs, ya)):
+        raise InvariantError("certificate: a reduced cost is negative")
+    if sum((rows[r][2] * yr for r, yr in y.items()), ZERO) != value:
+        raise InvariantError("certificate: b . y differs from the value")
+
+
+def _solve_square(eqs):
+    """{unknown: value} solving the equations (coeffs, rhs), coeffs an
+    {unknown: Fraction} dict, by sparse exact elimination; InvariantError
+    unless the system is square and nonsingular.  Each step takes the
+    shortest open equation and, in it, the unknown named by the fewest
+    open equations.  An equation may be scaled, so each is kept as int
+    numerators and combined with int multipliers."""
+    ints = []
+    for coeffs, rhs in eqs:
+        den = lcm(rhs.denominator, *(a.denominator for a in coeffs.values()))
+        ints.append(({u: a.numerator * (den // a.denominator) for u, a in coeffs.items()},
+                     rhs.numerator * (den // rhs.denominator)))
+    holders = defaultdict(set)  # unknown -> open equations naming it
+    for i, (coeffs, _) in enumerate(ints):
+        for u in coeffs:
+            holders[u].add(i)
+    if len(holders) != len(ints):
+        raise InvariantError("certificate: basis is singular")
+    open_eqs = set(range(len(ints)))
+    steps = []
+    while open_eqs:
+        i = min(open_eqs, key=lambda k: len(ints[k][0]))
+        open_eqs.remove(i)
+        coeffs, rhs = ints[i]
+        if not coeffs:
+            raise InvariantError("certificate: basis is singular")
+        v = min(coeffs, key=lambda u: len(holders[u]))
+        a = coeffs[v]
+        for u in coeffs:
+            holders[u].discard(i)
+        for k in holders.pop(v):
+            # other * a / g - coeffs * b / g is free of v
+            other, other_rhs = ints[k]
+            b = other.pop(v)
+            g = gcd(a, b)
+            fa, fb = a // g, b // g
+            if fa != 1:
+                other = {u: c * fa for u, c in other.items()}
+            for u, c in coeffs.items():
+                if u != v:
+                    c = other.get(u, 0) - fb * c
+                    if c:
+                        other[u] = c
+                        holders[u].add(k)
+                    else:
+                        del other[u]
+                        holders[u].discard(k)
+            ints[k] = (other, other_rhs * fa - fb * rhs)
+        steps.append((v, a, coeffs, rhs))
+    y = {}
+    for v, a, coeffs, rhs in reversed(steps):
+        y[v] = (rhs - sum((c * y[u] for u, c in coeffs.items() if u != v), ZERO)) / a
+    return y
 
 
 def _extract_flow(sol, inst):

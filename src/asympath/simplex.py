@@ -149,6 +149,8 @@ class SimplexSolver:
         self._rows = []      # tableau row numerators, each length ncols+1 (rhs last)
         self._dens = []      # positive denominator per tableau row
         self._basis = []     # basic column per row
+        self._kept = ()      # model rows in the tableau, in order; cut rows follow
+        self._cuts = []      # cut rows as added: (">=", coeffs, rhs)
         self._obj = []       # reduced-cost row numerators, once priced
         self._obj_den = 1
         self._p1 = None      # phase-1 reduced-cost row numerators while phase 1 runs
@@ -185,6 +187,7 @@ class SimplexSolver:
         priced._rows = [row[:] for row in self._rows]
         priced._dens = self._dens[:]
         priced._basis = self._basis[:]
+        priced._cuts = self._cuts[:]
         if priced.status is None:
             priced._obj, priced._obj_den = priced._in_basis(
                 list(nums) + [0] * (self._ncols + 1 - self._nstruct), den)
@@ -211,18 +214,20 @@ class SimplexSolver:
         """
         self._require_optimal("cuts can only be added after a successful solve")
         coeffs = self.model._check_coeffs(coeffs)
+        rhs = as_fraction(rhs)
         slack_col = self._ncols
         # new slack column, basic in the new row
         for r in self._rows:
             r.insert(slack_col, 0)
         self._obj.insert(slack_col, 0)
         self._ncols += 1
-        row, den = _int_row({j: -c for j, c in coeffs.items()}, -as_fraction(rhs), self._ncols)
+        row, den = _int_row({j: -c for j, c in coeffs.items()}, -rhs, self._ncols)
         row[slack_col] = den
         row, den = self._in_basis(row, den)
         self._rows.append(row)
         self._dens.append(den)
         self._basis.append(slack_col)
+        self._cuts.append((">=", coeffs, rhs))
         self.status = None
 
     def reoptimize(self):
@@ -284,6 +289,25 @@ class SimplexSolver:
     def pivots(self):
         return self._pivots
 
+    def rows(self):
+        """The LP's rows as (sense, coeffs, rhs), numbered as basis()
+        numbers them: the model's constraints, then each cut row as added."""
+        return self.model.constraints + self._cuts
+
+    def basis(self):
+        """{row: basic column} for each LP row of rows() still in the
+        tableau; a row phase 1 dropped as redundant is absent.  A column
+        below model.num_vars is that variable, and num_vars + r is the
+        slack of row r."""
+        if not self._started or self.status == INFEASIBLE:
+            raise SolverError("basis needs a started, feasible solver")
+        nv, rows = self._nstruct, self.rows()
+        # slack columns follow the variables, one per inequality row in row order
+        slack_rows = [r for r, (sense, _, _) in enumerate(rows) if sense != "="]
+        row_ids = [*self._kept, *range(len(self.model.constraints), len(rows))]
+        return {r: bc if bc < nv else nv + slack_rows[bc - nv]
+                for r, bc in zip(row_ids, self._basis, strict=True)}
+
     def _require_optimal(self, message):
         # an optimal tableau, possibly with cut rows added since
         if self.status not in (OPTIMAL, None) or not self._obj:
@@ -322,6 +346,7 @@ class SimplexSolver:
         self._rows = tableau
         self._dens = dens
         self._basis = basis
+        self._kept = tuple(range(len(m.constraints)))
         self._ncols = ncols
 
     def _in_basis(self, row, den):
@@ -371,6 +396,7 @@ class SimplexSolver:
             del self._rows[i]
             del self._dens[i]
             del self._basis[i]
+        self._kept = tuple(r for i, r in enumerate(self._kept) if i not in drop)
 
     # -- core mechanics ---------------------------------------------------
 

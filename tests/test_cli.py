@@ -13,7 +13,8 @@ from asympath import atspp as atspp_mod
 from asympath import latency as latency_mod
 from asympath import lp, metric, oracle
 from asympath.errors import InvariantError
-from asympath.cli import GAP_REPORT_COLUMNS, gap_report_rows, main
+from asympath.cli import GAP_REPORT_COLUMNS, _hamiltonian_path, gap_report_rows, main
+from asympath.rational import rational_to_json
 
 
 def test_gen_and_solve_round_trip(tmp_path, capsys):
@@ -163,6 +164,37 @@ def test_gap_report_readme_example_is_pinned(capsys):
                  "--seed", "3"]) == 0
     text = "".join(line.rsplit(",", 1)[0] + "\n" for line in capsys.readouterr().out.splitlines())
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "4cb76a1ebac5b036"
+
+
+WEIGHTS = (1, 3, 100)  # weights 1 and 3 tie many paths
+
+
+def test_gap_report_opt_is_the_exact_optimum(monkeypatch):
+    """opt is certified from LP(1) when its flow is a Hamiltonian path and
+    comes from exact_atspp otherwise; either way it is the optimum."""
+    exact, certify = oracle.exact_atspp, lp._certify
+    oracle_calls, certified = [], []
+    monkeypatch.setattr(oracle, "exact_atspp",
+                        lambda inst: oracle_calls.append(inst) or exact(inst))
+    monkeypatch.setattr(lp, "_certify", lambda *args: certified.append(certify(*args)))
+    for max_weight in WEIGHTS:
+        rows = gap_report_rows(count=9, nmin=4, nmax=12, seed=40, max_weight=max_weight)
+        for row in rows:
+            inst = metric.gen_random(row["n"], seed=row["seed"], max_weight=max_weight)
+            assert row["opt"] == rational_to_json(exact(inst).value)
+    rows = 9 * len(WEIGHTS)
+    assert len(certified) == rows  # every LP(1) solve is certified
+    assert 0 < len(oracle_calls) < rows
+
+
+def test_gap_report_leaves_opt_empty_above_the_oracle_cap(monkeypatch):
+    monkeypatch.setattr(oracle, "ATSPP_CAP", 5)
+    rows = gap_report_rows(count=4, nmin=5, nmax=8, seed=2009)
+    assert [row["opt"] for row in rows] == [103, "", "", ""]
+    # above the cap too, LP(1) certifies a Hamiltonian path, so opt could be filled
+    for row in rows[1:]:
+        inst = metric.gen_random(row["n"], seed=row["seed"], max_weight=100)
+        assert _hamiltonian_path(lp.solve_lp_alpha(inst, 1)[1], inst)
 
 
 def test_gap_report_ratios_within_budget():

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from asympath import atspp, cover, lp, metric, oracle, rational
+from asympath import atspp, cli, cover, lp, metric, oracle, rational
 from asympath.errors import InputError
 from asympath.graphs import ArcFlow, max_flow_min_cut
 from asympath.metric import MetricInstance, gen_random
@@ -118,13 +118,18 @@ def test_exact_value_is_accepted(entry, value):
     lambda: metric.gen_random(4, seed=1, max_weight=2.5),
     lambda: metric.gen_random(3.0, seed=1, max_weight=5),
     lambda: metric.metric_closure(3.0, {(0, 1): 5, (1, 2): 5, (2, 0): 5}, 0, 2),
+    lambda: cli.gap_report_rows(2.5, 4, 5, 1),
+    lambda: cli.gap_report_rows(True, 4, 5, 1),
+    lambda: cli.gap_report_rows(1, 4, 5, 1.5),
+    lambda: cli.gap_report_rows(1, 4, 5, "7"),
 ], ids=["cover-node", "induced-node", "k-person-k", "k-person-bool-k", "cover-float-k",
         "multipath-bool-k", "solve-k-person-float-k", "closure-negative-node",
         "closure-node-past-n", "closure-one-node", "closure-negative-arc", "bad-gap-small-d",
         "string-rows", "dict-distances", "string-weights", "short-weights",
         "closure-empty-list-weights", "closure-empty-tuple-weights", "random-bool-max-weight",
         "random-float-max-weight", "random-fractional-max-weight", "random-float-n",
-        "closure-float-n"])
+        "closure-float-n", "gap-report-float-count", "gap-report-bool-count",
+        "gap-report-float-seed", "gap-report-string-seed"])
 def test_misfit_argument_raises_input_error(call):
     with pytest.raises(InputError) as exc:
         call()

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -190,6 +191,81 @@ def test_cached_start_is_never_mutated(monkeypatch):
     assert _traced_lp_alpha(monkeypatch, inst, 1) == first
     assert snapshot() == before
     assert lp._alpha_start.cache_info()[:2] == (3, 1)  # (hits, misses)
+
+
+def _certificate_inputs(monkeypatch, inst):
+    """The final solver of solve_lp_alpha(inst, 1) and the (rows, costs,
+    basis, x, value) it hands to the certificate."""
+    seen = {}
+    cutting_planes, certify = lp._cutting_planes, lp._certify
+
+    def planes_spy(solver, *args):
+        seen["solver"] = solver
+        return cutting_planes(solver, *args)
+
+    def certify_spy(*args):
+        seen["args"] = args
+        return certify(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(lp, "_cutting_planes", planes_spy)
+        mp.setattr(lp, "_certify", certify_spy)
+        lp.solve_lp_alpha(inst, 1)
+    return seen["solver"], seen["args"]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_certificate_rejects_a_wrong_value_cost_or_basis(monkeypatch, seed):
+    inst = metric.gen_random(9 + seed, seed=seed, max_weight=100)
+    solver, (rows, costs, basis, x, value) = _certificate_inputs(monkeypatch, inst)
+    assert len(rows) > len(solver.model.constraints)  # cut rows were added
+    lp._certify(rows, costs, basis, x, value)
+    L = inst.scaled[1]
+    with pytest.raises(InvariantError):
+        lp._certify(rows, costs, basis, x, value + F(1, L))
+
+    # reduced costs as the final tableau holds them
+    rc = [F(a, solver._obj_den) for a in solver._obj[:len(costs)]]
+    nonbasic = [j for j in range(len(costs)) if j not in basis.values()]
+    j = nonbasic[seed]
+    lowered = costs[:j] + [costs[j] - rc[j] - F(1, L)] + costs[j + 1:]
+    with pytest.raises(InvariantError, match="reduced cost"):
+        lp._certify(rows, lowered, basis, x, value)
+
+    # a basic variable with a positive value swapped for each nonbasic one
+    # with a positive reduced cost: where the new basis is nonsingular, its
+    # dual leaves a reduced cost negative or falls short of value
+    r = next(r for r, j in basis.items() if j < len(costs) and x[j])
+    nonsingular = 0
+    for k in nonbasic:
+        if rc[k] > 0:
+            with pytest.raises(InvariantError) as exc:
+                lp._certify(rows, costs, {**basis, r: k}, x, value)
+            nonsingular += "singular" not in str(exc.value)
+    assert nonsingular
+
+
+# min x0 + x1 subject to x0 + x1 >= 2 and x1 >= 1: the dual is read from the
+# basis {row 0: x0, row 1: its slack (2 + 1)}, y = (1, 0), so b . y = 2
+TWO_ROWS = [(">=", {0: F(1), 1: F(1)}, F(2)), (">=", {1: F(1)}, F(1))]
+
+
+@pytest.mark.parametrize("rows, basis, x, value, fault", [
+    # each input fails one check alone
+    (TWO_ROWS, {0: 0, 1: 3}, [-1, 3], 2, "negative"),
+    (TWO_ROWS, {0: 0, 1: 3}, [2, 0], 2, "violates row 1"),
+    (TWO_ROWS, {0: 0, 1: 3}, [2, 1], 2, "c . x"),
+    ([(">=", {0: F(1)}, F(1)), (">=", {1: F(1)}, F(0))], {0: 0, 1: 3}, [2, 0], 2, "b . y"),
+    # x0 <= 3 with x0 basic prices the row at y = 1 > 0
+    ([("<=", {0: F(1)}, F(3))], {0: 0}, [3, 0], 3, "wrong sign"),
+    (TWO_ROWS, {0: 0, 1: 0}, [1, 1], 2, "not square"),
+], ids=["negative-x", "infeasible-x", "cost-of-x", "dual-value", "dual-sign", "repeated-column"])
+def test_certificate_checks_each_condition(rows, basis, x, value, fault):
+    costs = [F(1), F(1)]
+    with pytest.raises(InvariantError, match=re.escape(fault)):
+        lp._certify(rows, costs, basis, [F(v) for v in x], F(value))
+    # the optimum [1, 1] of TWO_ROWS, with x1 basic on row 1
+    lp._certify(TWO_ROWS, costs, {0: 0, 1: 1}, [F(1), F(1)], F(2))
 
 
 class TestLatencyModel:

@@ -10,7 +10,8 @@ from asympath import simplex
 from asympath.errors import InputError, SolverError
 from asympath.graphs import max_flow_min_cut
 from asympath.lp import (
-    _alpha_start, _extract_flow, _ReducedLatency, build_alpha_lp, solve_latency_lp, solve_lp_alpha,
+    _alpha_start, _certify, _extract_flow, _ReducedLatency, build_alpha_lp, solve_latency_lp,
+    solve_lp_alpha,
 )
 from asympath.metric import gen_random
 from asympath.rational import common_denominator
@@ -432,6 +433,97 @@ def test_redundant_equality_row_is_dropped():
     assert (sol.status, sol.objective, solver.pivots) == (OPTIMAL, 8, 3)
     m.add_ge({y: 1}, 1)
     assert simplex_solve(m) == sol
+
+
+def _duplicated_row_model():
+    """Four rows, the second twice the first, so phase 1 drops one."""
+    m = LpModel()
+    x = m.add_var("x", obj=2)
+    y = m.add_var("y", obj=3)
+    z = m.add_var("z", obj=1)
+    m.add_eq({x: 1, y: 1, z: 1}, 4)
+    m.add_eq({x: 2, y: 2, z: 2}, 8)
+    m.add_ge({x: 1, z: -1}, 1)
+    m.add_le({y: 1}, 3)
+    return m
+
+
+def test_basis_names_rows_through_the_purge_and_cuts():
+    m = _duplicated_row_model()
+    solver = SimplexSolver(m)
+    with pytest.raises(SolverError):
+        solver.basis()  # nothing built yet
+    sol = solver.solve()
+    # row 1 was dropped, so it is absent, and rows 2 and 3 keep their
+    # numbers: z on row 0, x on row 2, and row 3's slack (3 + 3) basic
+    assert solver.basis() == {0: 2, 2: 0, 3: 6}
+    assert solver.rows() == m.constraints
+    _certify(solver.rows(), m.obj, solver.basis(), list(sol.values.values()), sol.objective)
+    solver.add_ge_cut({1: 1}, 1)
+    assert solver.basis() == {0: 2, 2: 0, 3: 6, 4: 7}  # the cut is row 4, its slack basic
+    assert solver.rows() == [*m.constraints, (">=", {1: F(1)}, F(1))]
+    sol = solver.reoptimize()
+    assert solver.basis() == {0: 2, 2: 0, 3: 6, 4: 1}
+    _certify(solver.rows(), m.obj, solver.basis(), list(sol.values.values()), sol.objective)
+    # a second cut is row 5, with the slack column after the first cut's
+    solver.add_ge_cut({0: 1, 1: 1}, 4)
+    assert solver.basis() == {0: 2, 2: 0, 3: 6, 4: 1, 5: 8}
+    sol = solver.reoptimize()
+    _certify(solver.rows(), m.obj, solver.basis(), list(sol.values.values()), sol.objective)
+    with pytest.raises(SolverError):
+        SimplexSolver(_infeasible_model()).start().basis()
+
+
+def test_priced_copy_has_its_own_rows():
+    m = _duplicated_row_model()
+    start = SimplexSolver(m).start()
+    basis, rows = start.basis(), start.rows()
+    for costs in ([2, 3, 1], [1, 1, 5], [4, 1, 1]):
+        priced = start.with_objective(costs, 1)
+        priced.solve()
+        for cut in (({1: 1}, 1), ({0: 1, 1: 1}, 4)):
+            priced.add_ge_cut(*cut)
+        sol = priced.reoptimize()
+        # a cut list shared with the start or an earlier copy would list
+        # and number the cuts of the copies before
+        assert set(priced.basis()) == {0, 2, 3, 4, 5} and len(priced.rows()) == 6
+        _certify(priced.rows(), [F(c) for c in costs], priced.basis(),
+                 list(sol.values.values()), sol.objective)
+        assert (start.basis(), start.rows()) == (basis, rows)
+
+
+def test_every_optimum_certifies():
+    """Random LPs, each solved, cut twice and reoptimized: every optimal
+    basis gives an exact dual certificate of its value."""
+    rng = random.Random(977)
+    certified = dropped = 0
+    for trial in range(100):
+        m = LpModel()
+        nv = rng.randint(2, 6)
+        for i in range(nv):
+            m.add_var(f"x{i}", obj=_random_rational(rng, 0, 9))
+        for _ in range(rng.randint(2, 8)):
+            coeffs = _random_coeffs(rng, nv, -4, 6, 0.7)
+            if coeffs:
+                _add_row(m, rng.choice(["<=", ">=", "=", "="]), coeffs,
+                         _random_rational(rng, -3, 10))
+        if trial % 2 and m.constraints:  # a redundant copy of a row
+            sense, coeffs, rhs = rng.choice(m.constraints)
+            _add_row(m, sense, {j: 3 * c for j, c in coeffs.items()}, 3 * rhs)
+        solver = SimplexSolver(m)
+        sol = solver.solve()
+        if sol.status == OPTIMAL:
+            dropped += len(solver.basis()) < len(m.constraints)
+        for _ in range(3):
+            if sol.status != OPTIMAL:
+                break
+            _certify(solver.rows(), m.obj, solver.basis(), list(sol.values.values()),
+                     sol.objective)
+            certified += 1
+            solver.add_ge_cut(_random_coeffs(rng, nv, 0, 4, 0.8) or {0: F(1)},
+                              _random_rational(rng, 1, 6))
+            sol = solver.reoptimize()
+    assert certified >= 80 and dropped >= 5
 
 
 # -- lazy row reduction ------------------------------------------------------
