@@ -25,7 +25,6 @@ from .lp import (
 )
 from .metric import (
     MetricInstance,
-    ValidationReport,
     gen_bad_gap,
     gen_random,
     induced_subinstance,

@@ -58,30 +58,24 @@ def min_k_path_cycle_cover(inst, W, k):
     matching, total = min_cost_perfect_matching(cost)
 
     arcs = [(lefts[i], rights[j]) for i, j in enumerate(matching)]
-    out_arcs = {}
-    for u, w in arcs:
-        out_arcs.setdefault(u, []).append(w)
-    for u in out_arcs:
-        out_arcs[u].sort()
+    # the first k arcs leave s; every other node of W but t has one successor
+    succ = dict(arcs[k:])
 
     paths = []
-    for _ in range(k):
-        path = [s]
+    for first in sorted(w for _, w in arcs[:k]):
+        path = [s, first]
         while path[-1] != t:
-            path.append(out_arcs[path[-1]].pop(0))
+            path.append(succ[path[-1]])
         paths.append(path)
     used = {v for p in paths for v in p}
     cycles = []
     for u in W:
-        if u in used or u not in out_arcs or not out_arcs[u]:
-            continue
-        cyc = [u]
-        node = out_arcs[u].pop(0)
-        while node != u:
-            cyc.append(node)
-            node = out_arcs[node].pop(0)
-        cycles.append(cyc)
-        used.update(cyc)
+        if u not in used:
+            cyc = [u]
+            while succ[cyc[-1]] != u:
+                cyc.append(succ[cyc[-1]])
+            cycles.append(cyc)
+            used.update(cyc)
 
     if used != set(W):
         raise InvariantError("matching arcs failed to cover W", state=arcs)

@@ -130,7 +130,7 @@ def solve_lp_alpha(inst, alpha):
     solver = start.with_objective([d[u][v] for u, v in xv], L)
 
     def separate(sol):
-        cuts = _alpha_short_cuts(_extract_flow(sol, inst), s, alpha, range(n))
+        cuts = _alpha_short_cuts(_flow(list(sol.values.values()), xv), s, alpha, range(n))
         return [
             (cut, {xv[(u, w)]: ONE for u in range(n) if u not in cut for w in cut if w != u},
              alpha)
@@ -138,9 +138,9 @@ def solve_lp_alpha(inst, alpha):
         ]
 
     sol, _ = _cutting_planes(solver, separate, n, "cut relaxation")
-    _certify(solver.rows(), [inst.d[u][v] for u, v in xv], solver.basis(),
-             list(sol.values.values()), sol.objective)
-    return sol.objective, _extract_flow(sol, inst)
+    x = list(sol.values.values())
+    _certify(solver.rows(), [inst.d[u][v] for u, v in xv], solver.basis(), x, sol.objective)
+    return sol.objective, _flow(x, xv)
 
 
 # for each sense, the test of (lhs, rhs) that is true when the row fails
@@ -257,9 +257,10 @@ def _solve_square(eqs):
     return y
 
 
-def _extract_flow(sol, inst):
-    # build_alpha_lp adds one column per arc, in inst.arcs() order
-    return ArcFlow((arc, val) for arc, val in zip(inst.arcs(), sol.values.values()) if val)
+def _flow(values, columns):
+    """The ArcFlow of the nonzero values (a list in column order) of the
+    columns {arc: column}."""
+    return ArcFlow((arc, values[j]) for arc, j in columns.items() if values[j])
 
 
 def _short_cuts(flow, s, needs, nodes):
@@ -582,20 +583,17 @@ class _ReducedLatency:
             out.append(((u, w, v), coeffs, coef * const))
         return out
 
-    def flow_of(self, values, v):
-        return ArcFlow((arc, values[idx]) for arc, idx in self.fv[v].items() if values[idx])
-
     def violated_cut_rows(self, values):
         """The rows "s-v flow into any set holding y, not s, >= x[y,v]" that
         values violate, as (key, coeffs, rhs)."""
         out = []
         for v in sorted(self.fv):
+            arcs = self.fv[v]
             exprs = {y: self.pair_expr(y, v) for y in self.P if y != v}
             needs = ((y, self.value(values, expr)) for y, expr in exprs.items())
-            for y, _, cut in _short_cuts(self.flow_of(values, v), self.s, needs, range(self.n)):
+            for y, _, cut in _short_cuts(_flow(values, arcs), self.s, needs, range(self.n)):
                 const, var, sign = exprs[y]
-                coeffs = {idx: ONE for (a, b), idx in self.fv[v].items()
-                          if a not in cut and b in cut}
+                coeffs = {idx: ONE for (a, b), idx in arcs.items() if a not in cut and b in cut}
                 if var is not None:
                     coeffs[var] = -sign
                 out.append(((v, y, cut), coeffs, const))
@@ -616,7 +614,7 @@ class _ReducedLatency:
         n = self.n
         x = {k: self.value(values, self.pair_expr(*k)) for k in permutations(range(n), 2)}
         x3 = {k: self.value(values, self.triple_expr(*k)) for k in permutations(range(n), 3)}
-        flows = {v: self.flow_of(values, v) for v in self.fv}
+        flows = {v: _flow(values, arcs) for v, arcs in self.fv.items()}
         ell = {v: values[self.lv[v]] for v in self.lv}
         return LatencyLpSolution(
             n=n, s=self.s, t=self.t, x=x, x3=x3, flows=flows, ell=ell,

@@ -77,15 +77,16 @@ class MetricInstance:
         return [self.weight(v) for v in range(self.n)]
 
     def is_st_order(self, nodes):
-        """True iff nodes visits every node exactly once, s first, t last."""
+        """True iff nodes visits every node, an int, exactly once, s first, t last."""
         return (len(nodes) == self.n and nodes[0] == self.s and nodes[-1] == self.t
-                and set(nodes) == set(range(self.n)))
+                and set(nodes) == set(range(self.n)) and set(map(type, nodes)) == {int})
 
     def node_set(self, nodes):
-        """nodes as a set; InputError unless each is one of 0..n-1."""
+        """nodes as a set; InputError unless each is an int (not a bool) in 0..n-1."""
         nodes = set(nodes)
-        if not nodes <= set(range(self.n)):
-            raise InputError(f"nodes outside 0..{self.n - 1}: {nodes - set(range(self.n))}")
+        outside = {v for v in nodes if type(v) is not int or not 0 <= v < self.n}
+        if outside:
+            raise InputError(f"nodes outside 0..{self.n - 1}: {outside}")
         return nodes
 
     def arcs(self):
@@ -95,30 +96,17 @@ class MetricInstance:
                     yield u, v
 
 
-@dataclass
-class ValidationReport:
-    """Outcome of validate(): ok iff violations is empty.
-
-    Violation entries are tagged tuples:
-      ("triangle", u, v, w)  d[u][w] > d[u][v] + d[v][w]
-      ("negative", u, v)     d[u][v] < 0
-      ("diagonal", u)        d[u][u] != 0
-    """
-
-    ok: bool
-    violations: list
-
-
 def validate(inst):
-    """Check nonnegativity, zero diagonal, and every triangle inequality."""
+    """Each nonzero diagonal entry, negative distance and broken triangle
+    inequality of d, as a violation string; empty means d is a metric."""
     violations = []
     d = inst.d
     for u in range(inst.n):
         if d[u][u] != 0:
-            violations.append(("diagonal", u))
+            violations.append(f"d[{u}][{u}] != 0")
         for v in range(inst.n):
             if d[u][v] < 0:
-                violations.append(("negative", u, v))
+                violations.append(f"d[{u}][{v}] < 0")
     for u in range(inst.n):
         for v in range(inst.n):
             if u == v:
@@ -129,8 +117,8 @@ def validate(inst):
                 if w == u or w == v:
                     continue
                 if d[u][w] > duv + row_w[w]:
-                    violations.append(("triangle", u, v, w))
-    return ValidationReport(ok=not violations, violations=violations)
+                    violations.append(f"d[{u}][{w}] > d[{u}][{v}] + d[{v}][{w}]")
+    return violations
 
 
 def metric_closure(n, arcs, s, t, weights=None):
@@ -267,13 +255,6 @@ def instance_to_json(inst):
     return json.dumps(to_json(doc), indent=1)
 
 
-_VIOLATION_TEXT = {
-    "negative": "d[{0}][{1}] < 0",
-    "diagonal": "d[{0}][{0}] != 0",
-    "triangle": "d[{0}][{2}] > d[{0}][{1}] + d[{1}][{2}]",
-}
-
-
 def instance_from_json(text):
     """Parse an instance; raises InputError unless it is a valid metric."""
     doc = json.loads(text)
@@ -282,10 +263,10 @@ def instance_from_json(text):
                               weights=doc.get("weights"))
     except (KeyError, TypeError) as exc:
         raise InputError(f"malformed instance JSON: {exc}") from exc
-    bad = validate(inst).violations
+    bad = validate(inst)
     if bad:
-        shown = "; ".join(_VIOLATION_TEXT[kind].format(*nodes) for kind, *nodes in bad[:3])
-        raise InputError(f"distances are not a metric ({len(bad)} violations): {shown}")
+        raise InputError(f"distances are not a metric ({len(bad)} violations): "
+                         + "; ".join(bad[:3]))
     return inst
 
 

@@ -6,8 +6,8 @@ rest of a phase once its objective stalls, which guarantees termination.
 Constraint rows can be appended after a solve and the optimum restored
 with dual simplex pivots, which keeps cutting-plane loops cheap.
 
-Row representation.  Every tableau row, and the objective and phase-1
-reduced-cost rows, is a list of Python int numerators over one positive
+Row representation.  Every tableau row, and the reduced-cost row (phase
+1's or phase 2's), is a list of Python int numerators over one positive
 int denominator.  A pivot on column c scales the pivot row to prow / pden
 with prow[c] == pden, in lowest terms, then replaces each row with a
 nonzero in column c by (row * scale - row[c] / g * prow) / (den * scale),
@@ -41,12 +41,12 @@ row scale, so the path is the same, and so is the tableau after phase 1
 as rationals.  The phase-1 stall limit still counts the artificial
 columns, as the Bland switch depends on it.
 
-Phase 1 reads no objective either.  The reduced-cost row is made once
-phase 1 ends, by eliminating each basic column from c against that
-column's unit row; it equals, as rationals, the row that pivoting c along
-with phase 1 would give.  So a started tableau (start()) can be priced
-with any objective (with_objective()), and phase 2 then takes the path,
-and reaches the optimum, of a solve from scratch.
+Phase 1 reads no objective either.  Phase 2's row is made once phase 1
+ends, by eliminating each basic column from c against that column's unit
+row; it equals, as rationals, the row that pivoting c along with phase 1
+would give.  So a started tableau (start()) can be priced with any
+objective (with_objective()), and phase 2 then takes the path, and
+reaches the optimum, of a solve from scratch.
 """
 
 import copy
@@ -149,16 +149,13 @@ class SimplexSolver:
         self._rows = []      # tableau row numerators, each length ncols+1 (rhs last)
         self._dens = []      # positive denominator per tableau row
         self._basis = []     # basic column per row
-        self._kept = ()      # model rows in the tableau, in order; cut rows follow
+        self._kept = None    # model rows in the tableau, in order, once started; cuts follow
         self._cuts = []      # cut rows as added: (">=", coeffs, rhs)
-        self._obj = []       # reduced-cost row numerators, once priced
+        self._obj = []       # reduced-cost row numerators: phase 1's, then once priced
         self._obj_den = 1
-        self._p1 = None      # phase-1 reduced-cost row numerators while phase 1 runs
-        self._p1_den = 1
         self._ncols = 0
         self._nstruct = model.num_vars
         self._pivots = 0
-        self._started = False  # tableau built and phase 1 run
 
     # -- public API ---------------------------------------------------
 
@@ -170,18 +167,20 @@ class SimplexSolver:
         self._build()
         if not self._phase1():
             self.status = INFEASIBLE
-        self._started = True
         return self
 
     def with_objective(self, nums, den):
         """A copy of this started solver, with its own rows, that minimizes
         the structural costs nums / den (int numerators, positive int
         denominator).  Its solve() runs phase 2 only, and its pivots count
-        starts from this solver's phase-1 pivots."""
-        if not self._started or self._obj:
+        starts from this solver's phase-1 pivots.  A numerator that is not
+        an int, a bool included, raises TypeError."""
+        if self._kept is None or self._obj:
             raise SolverError("with_objective needs a started, unpriced solver")
         if len(nums) != self._nstruct:
             raise InputError(f"{len(nums)} costs for {self._nstruct} variables")
+        if any(type(c) is not int for c in nums):
+            raise TypeError("cost numerators must be ints, not bools, floats or Fractions")
         require_count(den, "den")
         priced = copy.copy(self)
         priced._rows = [row[:] for row in self._rows]
@@ -196,13 +195,13 @@ class SimplexSolver:
     def solve(self):
         """Phase 1 unless start() ran it, then phase 2 on the model's
         objective, or on the costs with_objective gave this copy."""
-        if not self._started:
+        if self._kept is None:
             self.start()
         if self.status is None:
             if not self._obj:
                 self._obj, self._obj_den = self._in_basis(
                     *_int_row(dict(enumerate(self.model.obj)), ZERO, self._ncols))
-            self.status = OPTIMAL if self._optimize(phase1=False) else UNBOUNDED
+            self.status = OPTIMAL if self._optimize() else UNBOUNDED
         return self.solution()
 
     def add_ge_cut(self, coeffs, rhs):
@@ -299,7 +298,7 @@ class SimplexSolver:
         tableau; a row phase 1 dropped as redundant is absent.  A column
         below model.num_vars is that variable, and num_vars + r is the
         slack of row r."""
-        if not self._started or self.status == INFEASIBLE:
+        if self._kept is None or self.status == INFEASIBLE:
             raise SolverError("basis needs a started, feasible solver")
         nv, rows = self._nstruct, self.rows()
         # slack columns follow the variables, one per inequality row in row order
@@ -361,9 +360,8 @@ class SimplexSolver:
     # -- phases ---------------------------------------------------------
 
     def _phase1(self):
+        """False if the rows have no feasible point; ends at once if no row has an artificial."""
         art_rows = [i for i, bc in enumerate(self._basis) if bc >= self._ncols]
-        if not art_rows:
-            return True
         # minus the sum of the artificial-basic rows: the phase-1 reduced costs
         den = lcm(*(self._dens[i] for i in art_rows))
         p1 = [0] * (self._ncols + 1)
@@ -371,18 +369,18 @@ class SimplexSolver:
             f = den // self._dens[i]
             for j, a in _nonzeros(self._rows[i]):
                 p1[j] -= f * a
-        self._p1, self._p1_den = _reduced(p1, den)
+        self._obj, self._obj_den = _reduced(p1, den)
         # the stall limit counts the artificial columns as if they were stored
-        if not self._optimize(phase1=True, nart=len(art_rows)):
+        if not self._optimize(nart=len(art_rows)):
             raise SolverError("phase 1 cannot be unbounded")
-        if self._p1[-1] != 0:
-            return False
-        self._purge_artificials()
-        return True
+        feasible = self._obj[-1] == 0
+        self._obj = []
+        if feasible:
+            self._purge_artificials()
+        return feasible
 
     def _purge_artificials(self):
         """Pivot artificials out of the basis and drop redundant rows."""
-        self._p1 = None
         drop = []
         for i, row in enumerate(self._rows):
             if self._basis[i] < self._ncols:
@@ -400,13 +398,13 @@ class SimplexSolver:
 
     # -- core mechanics ---------------------------------------------------
 
-    def _optimize(self, phase1, nart=0):
-        """Primal simplex on the phase-1 or the real pricing row: True at
-        an optimum, False if unbounded."""
+    def _optimize(self, nart=0):
+        """Primal simplex on the reduced-cost row: True at an optimum,
+        False if unbounded."""
         stall_limit = 60 + 2 * (len(self._rows) + self._ncols + nart)
         bland, stall, last = False, 0, None  # last: (numerator, den) of the last new value
         while True:
-            objrow, den = (self._p1, self._p1_den) if phase1 else (self._obj, self._obj_den)
+            objrow, den = self._obj, self._obj_den
             if last is None or objrow[-1] * last[1] != last[0] * den:
                 last, stall = (objrow[-1], den), 0
             else:
@@ -460,8 +458,6 @@ class SimplexSolver:
                 rows[i], dens[i] = _eliminate(row, dens[i], pnz, pden, c)
         if self._obj and self._obj[c]:
             self._obj, self._obj_den = _eliminate(self._obj, self._obj_den, pnz, pden, c)
-        if self._p1 is not None and self._p1[c]:
-            self._p1, self._p1_den = _eliminate(self._p1, self._p1_den, pnz, pden, c)
         self._basis[r] = c
 
 

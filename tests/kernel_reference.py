@@ -8,13 +8,22 @@ scale their inputs to ints over one common denominator.  The functions
 below are the earlier versions that do every step over Fraction; tests pin
 the scaled kernels to the same values, matchings, cuts, decompositions,
 orders and violation lists.
+
+min_k_path_cycle_cover is the earlier cover walk, which drains per-node
+sorted out-arc lists; it calls the int matching kernel (int_matching), as
+the library does, and tests pin the successor-map walk to its paths,
+cycles and cost.
 """
 
 from collections import deque
 from fractions import Fraction
 
-from asympath.errors import ContractError, InfeasibleError, InputError, InvariantError, SizeLimitError
+from asympath.cover import KPathCycleCover
+from asympath.errors import (
+    ContractError, InfeasibleError, InputError, InvariantError, SizeLimitError, require_count,
+)
 from asympath.graphs import Decomposition, _find_cycle
+from asympath.graphs import min_cost_perfect_matching as int_matching
 from asympath.metric import MetricInstance
 from asympath.oracle import ATSPP_CAP, LATENCY_CAP, ExactResult
 from asympath.rational import as_fraction, common_denominator
@@ -470,3 +479,60 @@ def latency_lp_verify(self, inst):
             if value < need:
                 bad.append(f"flow {v} sends {value} < x[{y},{v}] through {y}")
     return bad
+
+
+def min_k_path_cycle_cover(inst, W, k):
+    """Cheapest k-path-cycle cover of W by reduction to an assignment problem.
+
+    s gets k out-slots and t k in-slots, every other node of W one of
+    each; a perfect matching of slots is exactly a k-path-cycle cover.
+    The costs are the instance's ints over L (inst.scaled), so the
+    cover's cost is Fraction(total, L).
+    """
+    require_count(k, "k")
+    W = sorted(inst.node_set(W))
+    s, t = inst.s, inst.t
+    if s not in W or t not in W or len(W) < 2:
+        raise InputError("W must contain both s and t")
+    d, L = inst.scaled
+
+    lefts = [s] * k + [u for u in W if u not in (s, t)]
+    rights = [t] * k + [u for u in W if u not in (s, t)]
+    cost = [
+        [None if u == w else d[u][w] for w in rights]
+        for u in lefts
+    ]
+    matching, total = int_matching(cost)
+
+    arcs = [(lefts[i], rights[j]) for i, j in enumerate(matching)]
+    out_arcs = {}
+    for u, w in arcs:
+        out_arcs.setdefault(u, []).append(w)
+    for u in out_arcs:
+        out_arcs[u].sort()
+
+    paths = []
+    for _ in range(k):
+        path = [s]
+        while path[-1] != t:
+            path.append(out_arcs[path[-1]].pop(0))
+        paths.append(path)
+    used = {v for p in paths for v in p}
+    cycles = []
+    for u in W:
+        if u in used or u not in out_arcs or not out_arcs[u]:
+            continue
+        cyc = [u]
+        node = out_arcs[u].pop(0)
+        while node != u:
+            cyc.append(node)
+            node = out_arcs[node].pop(0)
+        cycles.append(cyc)
+        used.update(cyc)
+
+    if used != set(W):
+        raise InvariantError("matching arcs failed to cover W", state=arcs)
+    cover = KPathCycleCover(paths=paths, cycles=cycles, cost=Fraction(total, L))
+    if sum(d[u][v] for u, v in cover.arcs().elements()) != total:
+        raise InvariantError("cover cost disagrees with matching cost")
+    return cover

@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from asympath import atspp, cli, cover, lp, metric, oracle, rational
+from asympath import atspp, cli, cover, latency, lp, metric, oracle, rational
 from asympath.errors import InputError
 from asympath.graphs import ArcFlow, max_flow_min_cut
 from asympath.metric import MetricInstance, gen_random
@@ -122,6 +122,13 @@ def test_exact_value_is_accepted(entry, value):
     lambda: cli.gap_report_rows(True, 4, 5, 1),
     lambda: cli.gap_report_rows(1, 4, 5, 1.5),
     lambda: cli.gap_report_rows(1, 4, 5, "7"),
+    # True == 1.0 == 1, but a node is an int
+    lambda: metric.induced_subinstance(INST, {0, True, 3}, 0, 3),
+    lambda: cover.min_k_path_cycle_cover(INST, {0, True, 2, 3}, 1),
+    lambda: latency.total_latency(INST, [0, True, 2, 3]),
+    lambda: metric.induced_subinstance(INST, {0, 1.0, 3}, 0, 3),
+    lambda: cover.min_k_path_cycle_cover(INST, {0, 1.0, 2, 3}, 1),
+    lambda: latency.total_latency(INST, [0, 1.0, 2, 3]),
 ], ids=["cover-node", "induced-node", "k-person-k", "k-person-bool-k", "cover-float-k",
         "multipath-bool-k", "solve-k-person-float-k", "closure-negative-node",
         "closure-node-past-n", "closure-one-node", "closure-negative-arc", "bad-gap-small-d",
@@ -129,7 +136,9 @@ def test_exact_value_is_accepted(entry, value):
         "closure-empty-list-weights", "closure-empty-tuple-weights", "random-bool-max-weight",
         "random-float-max-weight", "random-fractional-max-weight", "random-float-n",
         "closure-float-n", "gap-report-float-count", "gap-report-bool-count",
-        "gap-report-float-seed", "gap-report-string-seed"])
+        "gap-report-float-seed", "gap-report-string-seed", "induced-bool-node",
+        "cover-bool-node", "latency-bool-node", "induced-float-node", "cover-float-node",
+        "latency-float-node"])
 def test_misfit_argument_raises_input_error(call):
     with pytest.raises(InputError) as exc:
         call()

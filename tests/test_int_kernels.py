@@ -3,7 +3,9 @@
 Each test draws exact inputs with mixed denominators, zeros and many ties
 (values come from a small pool) and compares the scaled kernel against
 the Fraction copy in kernel_reference.py: equal values, matchings, cuts,
-cycles, paths and orders, and Fraction return values.
+cycles, paths and orders, and Fraction return values.  The cover's
+successor-map walk is held the same way to the earlier walk over sorted
+out-arc lists.
 """
 
 import random
@@ -15,7 +17,7 @@ import pytest
 from hypothesis import Phase, given, settings
 from hypothesis import strategies as st
 
-from asympath import graphs, metric, oracle
+from asympath import cover, graphs, metric, oracle
 from asympath.lp import solve_latency_lp
 from asympath.errors import ContractError, InfeasibleError
 from asympath.graphs import ArcFlow
@@ -42,11 +44,11 @@ def cost_matrices(draw, max_m=7):
 
 
 @st.composite
-def arc_maps(draw, max_n=7, missing=True):
+def arc_maps(draw, max_n=7, missing=True, min_n=2):
     """(n, arcs, s, t): arcs maps ordered pairs to exact costs; with
     missing, some pairs are left out, so some maps are not strongly
     connected."""
-    n = draw(st.integers(2, max_n))
+    n = draw(st.integers(min_n, max_n))
     arcs = {}
     for u in range(n):
         for v in range(n):
@@ -58,10 +60,10 @@ def arc_maps(draw, max_n=7, missing=True):
 
 
 @st.composite
-def instances(draw, max_n=8):
+def instances(draw, max_n=8, min_n=2):
     """Metric closures of complete digraphs, with s and t anywhere and
     fractional node weights on about half of them."""
-    n, arcs, s, t = draw(arc_maps(max_n=max_n, missing=False))
+    n, arcs, s, t = draw(arc_maps(max_n=max_n, missing=False, min_n=min_n))
     weights = draw(st.one_of(st.none(), st.lists(WEIGHTS, min_size=n, max_size=n)))
     return ref.metric_closure(n, arcs, s, t, weights=weights)
 
@@ -172,6 +174,34 @@ def test_cover_matching_equals_eager_fraction_reference(cost):
     assert (matching, total) == ref.min_cost_perfect_matching(cost)
 
 
+@st.composite
+def cover_cases(draw):
+    """(sub, W, k): an induced sub-instance whose t is not its largest
+    node, a node set of it holding s and t, and k from 1 to two above the
+    interior count of W, where several of the k paths are the bare arc."""
+    inst = draw(instances(min_n=4))
+    size = inst.n - draw(st.integers(0, inst.n - 3))
+    nodes = sorted(draw(st.permutations(range(inst.n)))[:size])
+    s, t = draw(st.permutations(nodes))[:2]
+    if t == nodes[-1]:
+        s, t = t, s
+    sub, _ = metric.induced_subinstance(inst, nodes, s, t)
+    others = [v for v in range(sub.n) if v not in (sub.s, sub.t)]
+    picked = draw(st.permutations(others))[draw(st.integers(0, len(others) // 2)):]
+    W = [sub.s, sub.t, *picked]
+    return sub, W, draw(st.sampled_from(range(1, len(W) + 1)))
+
+
+@DERANDOMIZED
+@given(cover_cases())
+def test_cover_walk_equals_out_arc_list_reference(case):
+    sub, W, k = case
+    assert sub.t != sub.n - 1
+    got = cover.min_k_path_cycle_cover(sub, W, k)
+    want = ref.min_k_path_cycle_cover(sub, W, k)
+    assert (got.paths, got.cycles, got.cost) == (want.paths, want.cycles, want.cost)
+
+
 @pytest.mark.parametrize("bad", [True, F(1, 2)])
 def test_matching_rejects_non_int_costs(bad):
     with pytest.raises(TypeError):
@@ -262,7 +292,7 @@ def test_zero_distances_and_ties_pin_the_orders():
               for u in range(7))
     weights = (F(1, 2), 1, F(3, 2), 2, 1, F(1, 3), 3)
     inst = MetricInstance(n=7, s=2, t=5, d=d, weights=weights)
-    assert metric.validate(inst).ok
+    assert metric.validate(inst) == []
     atspp = oracle.ExactResult(value=F(3), order=[2, 4, 6, 3, 1, 0, 5])
     assert oracle.exact_atspp(inst) == ref.exact_atspp(inst) == atspp
     latency = oracle.ExactResult(value=F(29, 2), order=[2, 4, 0, 6, 3, 1, 5])

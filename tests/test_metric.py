@@ -12,9 +12,7 @@ from bruteforce import brute_all_pairs_shortest, brute_atspp
 
 def test_validate_two_nodes_ok():
     inst = metric.MetricInstance(2, 0, 1, ((Fraction(0), Fraction(1)), (Fraction(1), Fraction(0))))
-    report = metric.validate(inst)
-    assert report.ok
-    assert report.violations == []
+    assert metric.validate(inst) == []
 
 
 def test_validate_reports_triangle_violation():
@@ -24,9 +22,9 @@ def test_validate_reports_triangle_violation():
         (Fraction(1), Fraction(1), Fraction(0)),
     )
     inst = metric.MetricInstance(3, 0, 2, d)
-    report = metric.validate(inst)
-    assert not report.ok
-    assert ("triangle", 0, 1, 2) in report.violations
+    violations = metric.validate(inst)
+    assert violations
+    assert "d[0][2] > d[0][1] + d[1][2]" in violations
 
 
 def test_validate_reports_negative_and_diagonal():
@@ -35,10 +33,10 @@ def test_validate_reports_negative_and_diagonal():
         (Fraction(-1), Fraction(0)),
     )
     inst = metric.MetricInstance(2, 0, 1, d)
-    report = metric.validate(inst)
-    assert not report.ok
-    assert ("diagonal", 0) in report.violations
-    assert ("negative", 1, 0) in report.violations
+    violations = metric.validate(inst)
+    assert violations
+    assert "d[0][0] != 0" in violations
+    assert "d[1][0] < 0" in violations
 
 
 def test_metric_instance_structural_errors():
@@ -54,7 +52,7 @@ def test_metric_closure_shortcut_wins():
     arcs = {(0, 1): 1, (1, 2): 1, (0, 2): 5, (2, 0): 1, (1, 0): 1, (2, 1): 1}
     inst = metric.metric_closure(3, arcs, s=0, t=2)
     assert inst.d[0][2] == 2
-    assert metric.validate(inst).ok
+    assert metric.validate(inst) == []
 
 
 def test_metric_closure_complete_unit_digraph():
@@ -91,7 +89,7 @@ def test_gen_random_deterministic_and_valid():
     b = metric.gen_random(8, seed=1, max_weight=100)
     assert a == b
     assert a.s == 0 and a.t == 7
-    assert metric.validate(a).ok
+    assert metric.validate(a) == []
 
 
 def test_gen_random_two_nodes():
@@ -108,7 +106,7 @@ def test_gen_random_rejects_small_n():
 def test_bad_gap_instance_valid_and_metric():
     inst = metric.gen_bad_gap(1000)
     assert inst.n == 6 and inst.s == 0 and inst.t == 5
-    assert metric.validate(inst).ok
+    assert metric.validate(inst) == []
     # the eight unit arcs survive the closure at distance exactly 1
     for u, v in metric._BAD_GAP_UNIT_ARCS:
         assert inst.d[u][v] == 1
@@ -151,7 +149,7 @@ def test_induced_subinstance_identity_and_pair():
 def test_induced_subinstance_stays_metric():
     inst = metric.gen_random(9, seed=11, max_weight=30)
     sub, _ = metric.induced_subinstance(inst, {0, 2, 4, 6, 8}, 0, 8)
-    assert metric.validate(sub).ok
+    assert metric.validate(sub) == []
 
 
 def test_induced_subinstance_argument_errors():

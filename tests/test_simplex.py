@@ -10,7 +10,7 @@ from asympath import simplex
 from asympath.errors import InputError, SolverError
 from asympath.graphs import max_flow_min_cut
 from asympath.lp import (
-    _alpha_start, _certify, _extract_flow, _ReducedLatency, build_alpha_lp, solve_latency_lp,
+    _alpha_start, _certify, _flow, _ReducedLatency, build_alpha_lp, solve_latency_lp,
     solve_lp_alpha,
 )
 from asympath.metric import gen_random
@@ -282,6 +282,10 @@ def test_with_objective_needs_a_started_unpriced_solver():
     for nums, den in (([1, 1], 1), ([1], 0), ([1], True)):
         with pytest.raises(InputError):
             start.with_objective(nums, den)
+    # a bool is not an int cost, and a rational cost goes in as nums / den
+    for nums in ([True], [F(1, 2)], [0.5]):
+        with pytest.raises(TypeError):
+            start.with_objective(nums, 1)
     # a started solver solves with its model's own objective
     assert start.solve().objective == 0
 
@@ -320,7 +324,7 @@ def test_pivot_path_is_pinned():
         solver = SimplexSolver(model)
         first = solver.solve()
         first_pivots = solver.pivots
-        flow = _extract_flow(first, inst)
+        flow = _flow(list(first.values.values()), xv)
         cuts = set()
         for v in range(inst.n):
             if v != inst.s:
