@@ -2,10 +2,12 @@
 problems and the ordering/flow relaxation for directed latency, both solved
 to exact rational optimality with cutting planes.
 
-Violated cut constraints are found by exact max-flow separation; rows are
-appended to a solved tableau and reoptimized with dual simplex, so each
-round costs only a handful of pivots.  Every LP(alpha) optimum is then
-checked by an exact dual certificate read from the final basis.
+Both LPs start from a phase-1 tableau shared by every instance of one
+shape, priced with the instance's costs.  Violated cut constraints are
+found by exact max-flow separation; rows are appended to a solved tableau
+and reoptimized with dual simplex, so each round costs only a handful of
+pivots.  Every LP(alpha) optimum is then checked by an exact dual
+certificate read from the final basis.
 """
 
 from collections import defaultdict
@@ -52,6 +54,23 @@ def _cutting_planes(solver, separate, n, what):
         if sol.status != OPTIMAL:
             raise InvariantError(f"cut rows made the {what} {sol.status}")
     raise InvariantError(f"{what} separation did not converge within the round cap")
+
+
+# shapes whose phase-1 start is kept, over both LPs; an LP(alpha) entry
+# holds a tableau of about 2n rows by n^2 columns, a latency entry one of
+# 32 rows by 53 columns at n = 5 and 274 by 625 at n = 9
+_STARTS = 16
+
+
+@lru_cache(maxsize=_STARTS)
+def _start(build, *shape):
+    """(started solver, columns) for (model, columns) = build(*shape),
+    where build's model has a zero objective and rows that depend on
+    nothing but shape.  Phase 1 reads only the rows, so every instance of
+    that shape shares it; a solver prices a copy (with_objective) and
+    never mutates it."""
+    model, columns = build(*shape)
+    return SimplexSolver(model).start(), columns
 
 
 # ---------------------------------------------------------------------------
@@ -102,20 +121,6 @@ def _alpha_model(n, s, t, alpha):
     return model, xv
 
 
-# LP(alpha) shapes whose phase-1 start is kept; one entry holds a
-# tableau of about 2n rows by n^2 columns
-_ALPHA_STARTS = 16
-
-
-@lru_cache(maxsize=_ALPHA_STARTS)
-def _alpha_start(n, s, t, alpha):
-    """(started solver, var_index) for LP(alpha) on (n, s, t), alpha a
-    Fraction.  Phase 1 reads only the rows, so every instance of that
-    shape shares it; solve_lp_alpha prices a copy and never mutates it."""
-    model, xv = _alpha_model(n, s, t, alpha)
-    return SimplexSolver(model).start(), xv
-
-
 def solve_lp_alpha(inst, alpha):
     """Exact optimum of the cut relaxation with requirement alpha in (0, 1].
 
@@ -125,7 +130,7 @@ def solve_lp_alpha(inst, alpha):
     """
     alpha = as_fraction(alpha)
     n, s = inst.n, inst.s
-    start, xv = _alpha_start(n, s, inst.t, alpha)
+    start, xv = _start(_alpha_model, n, s, inst.t, alpha)
     d, L = inst.scaled
     solver = start.with_objective([d[u][v] for u, v in xv], L)
 
@@ -437,9 +442,10 @@ def _scaled(values, L):
 
 
 def build_latency_lp(inst):
-    """The latency relaxation as solve_latency_lp starts from: the reduced
-    program of _ReducedLatency before any lazy row is added."""
-    return _ReducedLatency(inst).model
+    """The latency relaxation as a model: the reduced program of
+    _LatencyShape with every row solve_latency_lp starts from, its
+    distance rows included, before any lazy row is added."""
+    return _LatencyShape(inst.n, inst.s, inst.t).build(inst)
 
 
 def _net_inflow(arcs, u):
@@ -447,8 +453,9 @@ def _net_inflow(arcs, u):
     return {idx: ONE if b == u else -ONE for (a, b), idx in arcs.items() if u in (a, b)}
 
 
-class _ReducedLatency:
-    """Equivalent latency program over a substituted variable set.
+class _LatencyShape:
+    """Equivalent latency program over a substituted variable set, for the
+    shape (n, s, t).
 
     Order values against the endpoints are constants (the source precedes
     and the sink follows everything), one direction of each interior pair
@@ -460,29 +467,34 @@ class _ReducedLatency:
     set and re-verified exactly, so the substitution cannot silently change
     the program.
 
+    Only the n - 1 distance rows l_v - sum d_uw f[v]_uw >= 0 read the
+    distances, and only the objective reads the weights, so the rest of
+    the program depends on the shape alone.  solve() starts from that
+    rest, shared by every instance of the shape (_start), adds the
+    distance rows as cut rows, and only then prices the copy.
+
     Variable and row order are load-bearing: the simplex pivot path on
     this model is pinned, and reordering either changes it.
     """
 
-    def __init__(self, inst):
-        self.inst = inst
-        n, s, t = inst.n, inst.s, inst.t
+    def __init__(self, n, s, t):
         self.n, self.s, self.t = n, s, t
         P = self.P = [v for v in range(n) if v not in (s, t)]
-        model = self.model = LpModel()
+        names = self.names = []
 
-        self.lv = {v: model.add_var(f"l[{v}]", obj=inst.weight(v))
-                   for v in range(n) if v != s}
-        self.y = {(u, w): model.add_var(f"x[{u},{w}]") for u, w in combinations(P, 2)}
-        self.z = {k: model.add_var("x3[{},{},{}]".format(*k)) for k in permutations(P, 3)}
+        def column(name):
+            names.append(name)
+            return len(names) - 1
+
+        self.lv = {v: column(f"l[{v}]") for v in range(n) if v != s}
+        self.y = {(u, w): column(f"x[{u},{w}]") for u, w in combinations(P, 2)}
+        self.z = {k: column("x3[{},{},{}]".format(*k)) for k in permutations(P, 3)}
         # fv[v]: the arcs the s-v flow may use, each with its column
         self.fv = {}
         for v in [*P, t]:
             heads = [*P, t] if v == t else P
-            self.fv[v] = {(u, w): model.add_var(f"f[{v}][{u},{w}]")
+            self.fv[v] = {(u, w): column(f"f[{v}][{u},{w}]")
                           for u in [s, *P] if u != v for w in heads if w != u}
-
-        self._build_rows()
 
     # pair/triple order values as (const, var, sign) terms
 
@@ -509,21 +521,31 @@ class _ReducedLatency:
         const, var, sign = expr
         return const if var is None else const + sign * values[var]
 
-    def _build_rows(self):
-        inst, model = self.inst, self.model
-        n, s, t = self.n, self.s, self.t
-        d = inst.d
+    def distance_row(self, v, d):
+        """The coefficients of l_v - sum d_uw f[v]_uw >= 0: v's latency is
+        at least the length of its s-v flow under the distances d."""
+        coeffs = {self.lv[v]: ONE}
+        for (u, w), idx in self.fv[v].items():
+            if d[u][w]:
+                coeffs[idx] = -d[u][w]
+        return coeffs
 
-        for v in range(n):
-            if v == s:
-                continue
-            coeffs = {self.lv[v]: ONE}
-            for (u, w), idx in self.fv[v].items():
-                if d[u][w]:
-                    coeffs[idx] = -d[u][w]
-            model.add_ge(coeffs, ZERO)
+    def build(self, inst=None):
+        """The program as an LpModel.  With inst, the objective is inst's
+        weights and a distance row for each v != s reads its distances.
+        Without, the objective is zero and the distance rows are left out:
+        the rows solve() starts from."""
+        weight = {} if inst is None else {j: inst.weight(v) for v, j in self.lv.items()}
+        model = LpModel()
+        for j, name in enumerate(self.names):
+            model.add_var(name, obj=weight.get(j, ZERO))
+        s, t = self.s, self.t
+
+        for v, lv in self.lv.items():
+            if inst is not None:
+                model.add_ge(self.distance_row(v, inst.d), ZERO)
             if v != t:
-                model.add_ge({self.lv[t]: ONE, self.lv[v]: -ONE}, ZERO)
+                model.add_ge({self.lv[t]: ONE, lv: -ONE}, ZERO)
 
         for idx in self.y.values():
             model.add_le({idx: ONE}, ONE)
@@ -559,13 +581,14 @@ class _ReducedLatency:
             model.add_eq({idx: ONE for (a, b), idx in arcs.items() if a == u}, ONE)
         model.add_eq({idx: ONE for (a, b), idx in arcs.items() if a == s}, ONE)
         model.add_eq({idx: ONE for (a, b), idx in arcs.items() if b == t}, ONE)
+        return model
 
     # lazy constraint families ------------------------------------------
 
-    def violated_order_rows(self, values):
+    def violated_order_rows(self, values, d):
         """The prefix-length rows l_v >= (d_su + d_uw + d_wv) x3[u,w,v] that
-        values violate, as (key, coeffs, rhs)."""
-        s, d = self.s, self.inst.d
+        values violate under the distances d, as (key, coeffs, rhs)."""
+        s = self.s
         out = []
         for u, w, v in permutations(range(self.n), 3):
             if v == s:
@@ -599,15 +622,26 @@ class _ReducedLatency:
                 out.append(((v, y, cut), coeffs, const))
         return out
 
-    def solve(self):
-        """Cutting-plane optimum, reconstructed over the full variable set."""
+    def solve(self, start, inst):
+        """Cutting-plane optimum of inst's program, reconstructed over the
+        full variable set.  start is this shape's started solver; a copy
+        with inst's distance rows as cut rows is made feasible while its
+        objective is still zero, then priced with inst's weights."""
+        weights = {j: inst.weight(v) for v, j in self.lv.items()}
+        L = common_denominator(weights.values())
+        costs = [0] * len(self.names)
+        for j, c in _scaled(weights, L).items():
+            costs[j] = c
+        d = inst.d
+        distance = [(self.distance_row(v, d), ZERO) for v in self.lv]
+
         def separate(sol):
             # sol.values is keyed by name in column order
             values = list(sol.values.values())
-            return self.violated_order_rows(values) + self.violated_cut_rows(values)
+            return self.violated_order_rows(values, d) + self.violated_cut_rows(values)
 
-        sol, rounds = _cutting_planes(SimplexSolver(self.model), separate, self.n,
-                                      "latency relaxation")
+        sol, rounds = _cutting_planes(start.with_objective(costs, L, distance), separate,
+                                      self.n, "latency relaxation")
         return self.reconstruct(list(sol.values.values()), sol.objective, rounds)
 
     def reconstruct(self, values, objective, rounds):
@@ -622,13 +656,21 @@ class _ReducedLatency:
         )
 
 
+def _latency_model(n, s, t):
+    """(model, shape): the reduced latency program on (n, s, t) without its
+    distance rows and with a zero objective, the rows _start starts."""
+    shape = _LatencyShape(n, s, t)
+    return shape.build(), shape
+
+
 def solve_latency_lp(inst):
     """Exact optimum of the node-weighted latency relaxation, with lazy cuts.
 
     The returned solution is reconstructed over the full variable set and
     every constraint family is re-verified exactly before returning.
     """
-    full = _ReducedLatency(inst).solve()
+    start, shape = _start(_latency_model, inst.n, inst.s, inst.t)
+    full = shape.solve(start, inst)
     bad = full.verify(inst)
     if bad:
         raise InvariantError("reconstructed latency solution failed verification",

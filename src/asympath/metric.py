@@ -201,8 +201,9 @@ _BAD_GAP_UNIT_ARCS = (
 
 
 def gen_bad_gap(D):
-    """Six-node family whose half-cut LP value stays at 5 while every
-    Hamiltonian s-t path costs at least D."""
+    """Six-node family whose half-cut LP value stays at 3, whatever D,
+    while every Hamiltonian s-t path costs at least D.  The LP(1/2)
+    optimum sends half a unit along each branch 0-1-2-5 and 0-3-4-5."""
     if not isinstance(D, int) or D < 10:
         raise InputError("gen_bad_gap needs an integer D >= 10")
     arcs = {arc: Fraction(1) for arc in _BAD_GAP_UNIT_ARCS}
@@ -211,10 +212,12 @@ def gen_bad_gap(D):
 
 
 def bad_gap_flow():
-    """The fractional arc assignment that certifies gen_bad_gap's LP value 5.
+    """A fractional arc assignment of cost 5 that is feasible for
+    gen_bad_gap's relaxation with cut requirement 1/2: an upper bound on
+    its LP value, whose exact optimum is 3.
 
     Half a unit on the six branch arcs, one unit on each 2-cycle's forward
-    arc; feasible for the relaxation with cut requirement 1/2.
+    arc.
     """
     half = Fraction(1, 2)
     one = Fraction(1)

@@ -169,12 +169,17 @@ class SimplexSolver:
             self.status = INFEASIBLE
         return self
 
-    def with_objective(self, nums, den):
+    def with_objective(self, nums, den, cuts=()):
         """A copy of this started solver, with its own rows, that minimizes
         the structural costs nums / den (int numerators, positive int
         denominator).  Its solve() runs phase 2 only, and its pivots count
         starts from this solver's phase-1 pivots.  A numerator that is not
-        an int, a bool included, raises TypeError."""
+        an int, a bool included, raises TypeError.
+
+        Each (coeffs, rhs) of cuts is first appended as a cut row and the
+        copy made feasible by dual simplex before it is priced: with no
+        objective yet every basis is dual feasible.  Its status is then
+        INFEASIBLE if the rows and cuts have no feasible point."""
         if self._kept is None or self._obj:
             raise SolverError("with_objective needs a started, unpriced solver")
         if len(nums) != self._nstruct:
@@ -187,9 +192,15 @@ class SimplexSolver:
         priced._dens = self._dens[:]
         priced._basis = self._basis[:]
         priced._cuts = self._cuts[:]
+        if cuts and priced.status is None:
+            priced._obj, priced._obj_den = [0] * (self._ncols + 1), 1
+            for coeffs, rhs in cuts:
+                priced.add_ge_cut(coeffs, rhs)
+            if priced.reoptimize().status == OPTIMAL:
+                priced.status = None
         if priced.status is None:
             priced._obj, priced._obj_den = priced._in_basis(
-                list(nums) + [0] * (self._ncols + 1 - self._nstruct), den)
+                list(nums) + [0] * (priced._ncols + 1 - self._nstruct), den)
         return priced
 
     def solve(self):

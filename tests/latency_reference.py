@@ -1,15 +1,20 @@
 """The full ordering/flow latency relaxation, kept as a test oracle.
 
-solve_latency_lp works on a smaller equivalent program (lp._ReducedLatency).
+solve_latency_lp works on a smaller equivalent program (lp._LatencyShape).
 This module builds every variable and constraint family of the relaxation
 explicitly and separates its cut family on the full flow variables, so
-tests can pin the reduced program to the same optimum.
+tests can pin the reduced program to the same optimum.  It also solves the
+reduced program cold, with no shared start, and builds the instance
+families the latency pins run on.
 """
 
+import random
+from dataclasses import replace
 from fractions import Fraction
 
+from asympath import metric
 from asympath.graphs import ArcFlow, max_flow_min_cut
-from asympath.lp import _cutting_planes
+from asympath.lp import _cutting_planes, _LatencyShape
 from asympath.simplex import LpModel, SimplexSolver
 
 ZERO = Fraction(0)
@@ -158,6 +163,37 @@ def solve_latency_lp_reference(inst):
 
     sol, _ = _cutting_planes(SimplexSolver(model), separate, n, "full latency model")
     return sol
+
+
+def solve_latency_lp_cold(inst):
+    """solve_latency_lp's separation rounds from a scratch solve of the
+    whole reduced model (build_latency_lp), distance rows included, with
+    no shared start: the reference a per-shape start must reach."""
+    red = _LatencyShape(inst.n, inst.s, inst.t)
+
+    def separate(sol):
+        values = list(sol.values.values())
+        return red.violated_order_rows(values, inst.d) + red.violated_cut_rows(values)
+
+    sol, rounds = _cutting_planes(SimplexSolver(red.build(inst)), separate, inst.n,
+                                  "cold latency relaxation")
+    return red.reconstruct(list(sol.values.values()), sol.objective, rounds)
+
+
+def pin_instance(n, seed, weighted):
+    """gen_random distances, with int node weights 1..9 when weighted."""
+    inst = metric.gen_random(n, seed=seed, max_weight=100)
+    if weighted:
+        rng = random.Random(seed)
+        inst = replace(inst, weights=[rng.randint(1, 9) for _ in range(n)])
+    return inst
+
+
+def pipeline_instance(n, seed, max_weight):
+    """gen_random distances with node weights of mixed denominators."""
+    base = metric.gen_random(n, seed=seed, max_weight=max_weight)
+    weights = tuple(Fraction(1 + (3 * v + seed) % 5, 1 + v % 3) for v in range(n))
+    return metric.MetricInstance(n, base.s, base.t, base.d, weights=weights)
 
 
 def order_distance_violations(sol, inst):

@@ -11,6 +11,7 @@ from asympath.latency import append, assembled_bound_factor, total_latency
 from asympath.rational import to_json
 
 from bruteforce import brute_latency
+from latency_reference import pipeline_instance
 
 F = Fraction
 
@@ -140,13 +141,6 @@ class TestSolveLatency:
             assert "pivot" in step and "A" in step and "B" in step
 
 
-def _pipeline_instance(n, seed, max_weight):
-    """gen_random distances with node weights of mixed denominators."""
-    base = metric.gen_random(n, seed=seed, max_weight=max_weight)
-    weights = tuple(F(1 + (3 * v + seed) % 5, 1 + v % 3) for v in range(n))
-    return metric.MetricInstance(n, base.s, base.t, base.d, weights=weights)
-
-
 def _pipeline(inst):
     doc = []
     for case in (replace(inst, weights=None), inst):
@@ -172,14 +166,14 @@ PIPELINE_DIGESTS = {
     (6, 7): '76e0d27521ad1159',
     (6, 50): '8463ad7cb5a77ef6',
     (7, 7): '8a54fe629774e699',
-    (7, 50): 'f71325ba86b982e6',
+    (7, 50): '4b9d627486110b63',
 }
 
 
 @pytest.mark.parametrize("max_weight", [7, 50])
 @pytest.mark.parametrize("n", range(2, 8))
 def test_latency_pipeline_is_pinned(n, max_weight):
-    doc = [_pipeline(_pipeline_instance(n, seed, max_weight))
+    doc = [_pipeline(pipeline_instance(n, seed, max_weight))
            for seed in range(2 if n == 7 else 3)]
     digest = hashlib.sha256(json.dumps(to_json(doc)).encode()).hexdigest()[:16]
     assert digest == PIPELINE_DIGESTS[(n, max_weight)]
@@ -190,4 +184,4 @@ def test_weighted_bookkeeping_is_cross_checked(monkeypatch):
     monkeypatch.setattr(latency, "total_latency",
                         lambda inst, order: real(inst, order) + 1)
     with pytest.raises(InvariantError, match="latency bookkeeping mismatch"):
-        latency.solve_latency(_pipeline_instance(5, 0, 7))
+        latency.solve_latency(pipeline_instance(5, 0, 7))

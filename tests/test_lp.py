@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -15,6 +16,9 @@ from asympath.simplex import LpModel, SimplexSolver, simplex_solve
 from latency_reference import (
     build_full_latency_lp,
     order_distance_violations,
+    pin_instance,
+    pipeline_instance,
+    solve_latency_lp_cold,
     solve_latency_lp_reference,
 )
 
@@ -41,10 +45,10 @@ class TestCutRelaxation:
             lp.solve_lp_alpha(inst, F(3, 2))
 
     def test_bad_gap_half_requirement_stays_small(self):
-        inst = metric.gen_bad_gap(1000)
-        value, flow = lp.solve_lp_alpha(inst, F(1, 2))
-        assert value <= 5
-        assert not lp.flow_alpha_violations(6, 0, 5, flow, F(1, 2))
+        for D in (12, 50, 1000):
+            value, flow = lp.solve_lp_alpha(metric.gen_bad_gap(D), F(1, 2))
+            assert value == 3
+            assert not lp.flow_alpha_violations(6, 0, 5, flow, F(1, 2))
 
     def test_bad_gap_certificate_feasible_at_value_five(self):
         inst = metric.gen_bad_gap(50)
@@ -159,12 +163,12 @@ def test_warm_lp_alpha_start_matches_cold_start(monkeypatch, n):
         insts = [_mixed_closure(rng, n, s, t) for _ in range(3)]
         cold = []
         for inst in insts:
-            lp._alpha_start.cache_clear()
+            lp._start.cache_clear()
             cold.append(_traced_lp_alpha(monkeypatch, inst, alpha))
-        lp._alpha_start.cache_clear()
+        lp._start.cache_clear()
         warm = [_traced_lp_alpha(monkeypatch, inst, alpha) for inst in insts]
         assert warm == cold
-        assert lp._alpha_start.cache_info()[:2] == (2, 1)  # (hits, misses)
+        assert lp._start.cache_info()[:2] == (2, 1)  # (hits, misses)
         for inst, (value, flow, _, r) in zip(insts, warm):
             assert value == flow.cost(inst)
             assert not lp.flow_alpha_violations(n, s, t, flow, alpha)
@@ -175,8 +179,8 @@ def test_warm_lp_alpha_start_matches_cold_start(monkeypatch, n):
 
 def test_cached_start_is_never_mutated(monkeypatch):
     inst = metric.gen_random(12, seed=5, max_weight=100)
-    lp._alpha_start.cache_clear()
-    start, _ = lp._alpha_start(inst.n, inst.s, inst.t, F(1))
+    lp._start.cache_clear()
+    start, _ = lp._start(lp._alpha_model, inst.n, inst.s, inst.t, F(1))
 
     def snapshot():
         return ([row[:] for row in start._rows], start._dens[:], start._basis[:],
@@ -190,7 +194,7 @@ def test_cached_start_is_never_mutated(monkeypatch):
     assert _traced_lp_alpha(monkeypatch, other, 1) != first
     assert _traced_lp_alpha(monkeypatch, inst, 1) == first
     assert snapshot() == before
-    assert lp._alpha_start.cache_info()[:2] == (3, 1)  # (hits, misses)
+    assert lp._start.cache_info()[:2] == (3, 1)  # (hits, misses)
 
 
 def _certificate_inputs(monkeypatch, inst):
@@ -375,48 +379,43 @@ def _digest(doc):
     return hashlib.sha256(json.dumps(to_json(doc)).encode()).hexdigest()[:16]
 
 
-def _pin_instance(n, seed, weighted):
-    inst = metric.gen_random(n, seed=seed, max_weight=100)
-    if weighted:
-        rng = random.Random(seed)
-        inst = replace(inst, weights=[rng.randint(1, 9) for _ in range(n)])
-    return inst
-
-
 # (n, seed, weighted) -> digests of the reduced model, of the cut rows added
-# in each round, and of the full solution, as recorded before the builder of
-# the reduced model was rewritten
+# in each round (the distance rows are the first round), and of the full
+# solution.  The digests were recorded before the builder of the reduced
+# model was rewritten; the cut-round digests were re-recorded once the LP
+# started per shape, and with them the solution digests of (5, 1, *), whose
+# rounds fell from 2 to 1 at the same optimum
 REDUCED_LATENCY_DIGESTS = {
-    (2, 0, False): ('ec6b096f6d4d5201', '4f53cda18c2baa0c', '63e894adbbb497d5'),
-    (2, 0, True): ('fe9536a05f5601c9', '4f53cda18c2baa0c', '0d7e2b945112ecae'),
-    (2, 1, False): ('76f3fa39fce60a22', '4f53cda18c2baa0c', '0222dd69f776d621'),
-    (2, 1, True): ('07feb86d4fdc7cfc', '4f53cda18c2baa0c', 'bd84d4a0a76eb19f'),
-    (2, 2, False): ('0944c1f5f286a03a', '4f53cda18c2baa0c', '649d8e395044a9b0'),
-    (2, 2, True): ('55baca6c632ced24', '4f53cda18c2baa0c', '799d5642b3798d4c'),
-    (3, 0, False): ('00c27f00edf40f99', '4f53cda18c2baa0c', '21290e21ba84d699'),
-    (3, 0, True): ('1b99e43eb13c71d3', '4f53cda18c2baa0c', 'bcb990a5e4680cf1'),
-    (3, 1, False): ('bb1c81a1f7882686', '4f53cda18c2baa0c', '286c5bf94e4a3307'),
-    (3, 1, True): ('3a6ccbfe0cd1db81', '4f53cda18c2baa0c', '95b77f75b2ecde6b'),
-    (3, 2, False): ('3174fff8c6e7eb7f', '4f53cda18c2baa0c', '322d22d2096c69c5'),
-    (3, 2, True): ('ada3f4dd27719f3f', '4f53cda18c2baa0c', '4c47cd09241b5976'),
-    (4, 0, False): ('e4d268f1cbefac02', '4f53cda18c2baa0c', 'cb7f5263cb2c9aa6'),
-    (4, 0, True): ('396978a01dae4827', '4f53cda18c2baa0c', 'a47ee5fc22a5c610'),
-    (4, 1, False): ('53d001678e834ed6', '4f53cda18c2baa0c', '8ee5c5e3509a5276'),
-    (4, 1, True): ('5578a7996dcca0e9', '4f53cda18c2baa0c', '1b4bb6ed81c17b5b'),
-    (4, 2, False): ('6c8d9bd4e2076d8c', '4f53cda18c2baa0c', 'da202e1acf10023d'),
-    (4, 2, True): ('7d4793b6f5ba9914', '4f53cda18c2baa0c', '8a17789f16d174b1'),
-    (5, 0, False): ('0d6533b35670b5e2', '12bc9cf30917d33a', '5ec228dd2c76af20'),
-    (5, 0, True): ('138a97955e885dfa', '7fe443cc474ea227', '506cd923114f4d8f'),
-    (5, 1, False): ('8c303fe70a235e40', 'bb2cf34eaa62d0ba', '8cd36cd547093ba0'),
-    (5, 1, True): ('67c3cf289bec5bff', 'bb2cf34eaa62d0ba', '6474bf12388d9d2c'),
-    (5, 2, False): ('737f7900490f7ca6', '9328ad16bfc0743f', '662a291e0476a4d9'),
-    (5, 2, True): ('897e591495823a19', '9328ad16bfc0743f', '90d7755353abd19e'),
-    (6, 0, False): ('b4113689d2a61737', '368f8a6fb024eb68', '55ae47eb2e211c91'),
-    (6, 0, True): ('91dec82399d76413', '368f8a6fb024eb68', '7af7e45b2920be92'),
-    (6, 1, False): ('b1338f182b6326eb', 'fc6ca2e0d078535a', '11da4765732f4003'),
-    (6, 1, True): ('9fec528513aa4ebf', 'fc6ca2e0d078535a', 'c562d38b9dba596f'),
-    (6, 2, False): ('9d2279349d5612ac', '6ee65f380fcac77c', '90e48aced738cd06'),
-    (6, 2, True): ('05d16a01821fde29', '34b931a0fd093cb7', '732195f06ecb0800'),
+    (2, 0, False): ('ec6b096f6d4d5201', '0fb73e1a60a35ac7', '63e894adbbb497d5'),
+    (2, 0, True): ('fe9536a05f5601c9', '0fb73e1a60a35ac7', '0d7e2b945112ecae'),
+    (2, 1, False): ('76f3fa39fce60a22', 'dcb6c5101e53938d', '0222dd69f776d621'),
+    (2, 1, True): ('07feb86d4fdc7cfc', 'dcb6c5101e53938d', 'bd84d4a0a76eb19f'),
+    (2, 2, False): ('0944c1f5f286a03a', '48a1848a47d8452a', '649d8e395044a9b0'),
+    (2, 2, True): ('55baca6c632ced24', '48a1848a47d8452a', '799d5642b3798d4c'),
+    (3, 0, False): ('00c27f00edf40f99', 'a980babe6d87f3f7', '21290e21ba84d699'),
+    (3, 0, True): ('1b99e43eb13c71d3', 'a980babe6d87f3f7', 'bcb990a5e4680cf1'),
+    (3, 1, False): ('bb1c81a1f7882686', 'd0dbe3d37b923198', '286c5bf94e4a3307'),
+    (3, 1, True): ('3a6ccbfe0cd1db81', 'd0dbe3d37b923198', '95b77f75b2ecde6b'),
+    (3, 2, False): ('3174fff8c6e7eb7f', '12e6138073763c60', '322d22d2096c69c5'),
+    (3, 2, True): ('ada3f4dd27719f3f', '12e6138073763c60', '4c47cd09241b5976'),
+    (4, 0, False): ('e4d268f1cbefac02', '6271a881072eb419', 'cb7f5263cb2c9aa6'),
+    (4, 0, True): ('396978a01dae4827', '6271a881072eb419', 'a47ee5fc22a5c610'),
+    (4, 1, False): ('53d001678e834ed6', 'd28a76e041e60593', '8ee5c5e3509a5276'),
+    (4, 1, True): ('5578a7996dcca0e9', 'd28a76e041e60593', '1b4bb6ed81c17b5b'),
+    (4, 2, False): ('6c8d9bd4e2076d8c', 'b35ca5bec94fdfa4', 'da202e1acf10023d'),
+    (4, 2, True): ('7d4793b6f5ba9914', 'b35ca5bec94fdfa4', '8a17789f16d174b1'),
+    (5, 0, False): ('0d6533b35670b5e2', '6e56457bd137a044', '5ec228dd2c76af20'),
+    (5, 0, True): ('138a97955e885dfa', 'ce8170c77f70ee84', '506cd923114f4d8f'),
+    (5, 1, False): ('8c303fe70a235e40', '9f64fddbd0c5a053', 'e02562cbaf3a0ef0'),
+    (5, 1, True): ('67c3cf289bec5bff', '9f64fddbd0c5a053', '84cf168bbd4090c2'),
+    (5, 2, False): ('737f7900490f7ca6', 'c6997689c41cf20e', '662a291e0476a4d9'),
+    (5, 2, True): ('897e591495823a19', 'c6997689c41cf20e', '90d7755353abd19e'),
+    (6, 0, False): ('b4113689d2a61737', 'da7304559a702629', '55ae47eb2e211c91'),
+    (6, 0, True): ('91dec82399d76413', 'da7304559a702629', '7af7e45b2920be92'),
+    (6, 1, False): ('b1338f182b6326eb', 'af993fa00fd1cb49', '11da4765732f4003'),
+    (6, 1, True): ('9fec528513aa4ebf', 'af993fa00fd1cb49', 'c562d38b9dba596f'),
+    (6, 2, False): ('9d2279349d5612ac', '2580a6397494016f', '90e48aced738cd06'),
+    (6, 2, True): ('05d16a01821fde29', '58ffa653dc74aed1', '732195f06ecb0800'),
 }
 
 
@@ -424,8 +423,8 @@ REDUCED_LATENCY_DIGESTS = {
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_reduced_latency_model_cuts_and_solution_are_pinned(monkeypatch, n, seed, weighted):
-    inst = _pin_instance(n, seed, weighted)
-    model = lp._ReducedLatency(inst).model
+    inst = pin_instance(n, seed, weighted)
+    model = lp.build_latency_lp(inst)
     rounds = []
     add_ge_cut, reoptimize = SimplexSolver.add_ge_cut, SimplexSolver.reoptimize
 
@@ -455,3 +454,83 @@ def test_reduced_latency_model_cuts_and_solution_are_pinned(monkeypatch, n, seed
            _digest([r for r in rounds if r is not None]),
            _digest(solution))
     assert got == REDUCED_LATENCY_DIGESTS[(n, seed, weighted)]
+
+
+# -- the latency LP from a shared per-shape start ------------------------------
+
+
+def _tied_instances():
+    """Latency instances with ties and zero distances: unit metrics, and
+    closures of mixed-denominator costs with zeros, s and t anywhere, and
+    weights of mixed denominators."""
+    rng = random.Random(4242)
+    cases = [unit_metric(n) for n in (3, 4, 5)]
+    for n in (3, 4, 4, 5, 5):
+        s, t = rng.sample(range(n), 2)
+        weights = [F(rng.randint(1, 9), rng.randint(1, 4)) for _ in range(n)]
+        cases.append(replace(_mixed_closure(rng, n, s, t), weights=weights))
+    assert any(0 in row[:u] + row[u + 1:] for inst in cases for u, row in enumerate(inst.d))
+    return cases
+
+
+def test_shape_start_reaches_the_cold_optimum():
+    """solve_latency_lp adds the distance rows to the shared start of each
+    shape as cut rows, then prices it; its optimum is that of a scratch
+    solve of the whole model.  The instances run one after another, so
+    each shape's start serves several distance matrices."""
+    cases = [pin_instance(n, seed, weighted) for n in range(2, 7) for seed in range(3)
+             for weighted in (False, True)]
+    for n in range(2, 8):
+        for max_weight in (7, 50):
+            for seed in range(2 if n == 7 else 3):
+                inst = pipeline_instance(n, seed, max_weight)
+                cases += [replace(inst, weights=None), inst]
+    cases += _tied_instances()
+    lp._start.cache_clear()
+    for inst in cases:
+        assert lp.solve_latency_lp(inst).objective == solve_latency_lp_cold(inst).objective
+    hits, misses = lp._start.cache_info()[:2]
+    assert hits > misses
+
+
+def test_latency_start_is_the_model_without_its_distance_rows():
+    for inst in [pin_instance(5, 0, True), *_tied_instances()]:
+        model = lp.build_latency_lp(inst)
+        start, shape = lp._start(lp._latency_model, inst.n, inst.s, inst.t)
+        distance = [(">=", shape.distance_row(v, inst.d), 0) for v in shape.lv]
+        assert [row for row in model.constraints if row in distance] == distance
+        assert start.model.constraints == [
+            row for row in model.constraints if row not in distance]
+        assert start.model.names == model.names == shape.names
+        assert not any(start.model.obj)
+
+
+def test_latency_start_is_never_mutated():
+    """Instances A, B, A of one shape, with other distances and weights,
+    A's of mixed denominators: both runs of A agree in every value and the
+    cached start keeps its rows, basis and tableau."""
+    rng = random.Random(2022)
+    n, s, t = 5, 3, 1
+    a = replace(_mixed_closure(rng, n, s, t),
+                weights=[F(rng.randint(1, 9), rng.randint(1, 5)) for _ in range(n)])
+    assert len({w.denominator for w in a.weights}) > 1
+    b = replace(_mixed_closure(rng, n, s, t), weights=[rng.randint(1, 9) for _ in range(n)])
+    lp._start.cache_clear()
+    start, _ = lp._start(lp._latency_model, n, s, t)
+
+    def snapshot():
+        return (copy.deepcopy(start.rows()), start.basis(), [row[:] for row in start._rows],
+                start._dens[:], start._basis[:], start._obj, start.status, start.pivots)
+
+    def run(inst):
+        sol = lp.solve_latency_lp(inst)
+        return (sol.ell, sol.x, sol.x3, {v: sorted(f.items()) for v, f in sol.flows.items()},
+                sol.rounds, sol.objective)
+
+    before = snapshot()
+    first = run(a)
+    assert run(b) != first
+    assert run(a) == first
+    assert snapshot() == before
+    assert lp._start.cache_info()[:2] == (3, 1)  # (hits, misses)
+

@@ -10,7 +10,7 @@ from asympath import simplex
 from asympath.errors import InputError, SolverError
 from asympath.graphs import max_flow_min_cut
 from asympath.lp import (
-    _alpha_start, _certify, _flow, _ReducedLatency, build_alpha_lp, solve_latency_lp,
+    _certify, _flow, _start, build_alpha_lp, build_latency_lp, solve_latency_lp,
     solve_lp_alpha,
 )
 from asympath.metric import gen_random
@@ -18,6 +18,7 @@ from asympath.rational import common_denominator
 from asympath.simplex import (
     INFEASIBLE, OPTIMAL, UNBOUNDED, LpModel, SimplexSolver, _reduced, simplex_solve,
 )
+from latency_reference import solve_latency_lp_cold
 
 F = Fraction
 
@@ -268,6 +269,44 @@ def test_priced_start_matches_a_fresh_solve():
     assert statuses[OPTIMAL] >= 30 and statuses[INFEASIBLE] >= 5 and statuses[UNBOUNDED] >= 5
 
 
+def test_cuts_added_before_pricing_match_a_fresh_solve():
+    """with_objective's cuts join the started rows before the copy is
+    priced; its optimum is that of a fresh solve of the rows and the cuts
+    together, and the started solver is left as it was."""
+    rng = random.Random(2718)
+    statuses = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
+    for trial in range(80):
+        m = LpModel()
+        nv = rng.randint(2, 5)
+        for i in range(nv):
+            m.add_var(f"x{i}")
+        for _ in range(rng.randint(1, 6)):
+            coeffs = _random_coeffs(rng, nv, -4, 6, 0.7)
+            if coeffs:
+                _add_row(m, rng.choice(["<=", ">=", "="]), coeffs, _random_rational(rng, -3, 10))
+        start = SimplexSolver(m).start()
+        if start.status == INFEASIBLE:
+            continue
+        before = ([row[:] for row in start._rows], start._dens[:], start._basis[:], start.pivots)
+        cuts = [(_random_coeffs(rng, nv, -3, 4, 0.8) or {0: F(1)}, _random_rational(rng, -2, 6))
+                for _ in range(rng.randint(1, 3))]
+        obj = [_random_rational(rng, -4, 9) for _ in range(nv)]
+        fresh_model = LpModel()
+        for i, c in enumerate(obj):
+            fresh_model.add_var(f"x{i}", obj=c)
+        fresh_model.constraints = list(m.constraints)
+        for coeffs, rhs in cuts:
+            fresh_model.add_ge(coeffs, rhs)
+        priced = start.with_objective(*_costs(obj), cuts)
+        got, want = priced.solve(), SimplexSolver(fresh_model).solve()
+        assert (got.status, got.objective) == (want.status, want.objective)
+        assert len(priced.rows()) == len(m.constraints) + len(cuts)
+        statuses[want.status] += 1
+        assert ([row[:] for row in start._rows], start._dens[:], start._basis[:],
+                start.pivots) == before
+    assert statuses[OPTIMAL] >= 15 and statuses[INFEASIBLE] >= 10 and statuses[UNBOUNDED] >= 5
+
+
 def test_with_objective_needs_a_started_unpriced_solver():
     m = LpModel()
     x = m.add_var("x")
@@ -339,7 +378,7 @@ def test_pivot_path_is_pinned():
         assert (first_pivots, first.objective, solver.pivots, second.objective) == expected
 
     for seed, expected in {1: (60, 146), 2: (67, 94)}.items():
-        solver = SimplexSolver(_ReducedLatency(gen_random(5, seed=seed, max_weight=50)).model)
+        solver = SimplexSolver(build_latency_lp(gen_random(5, seed=seed, max_weight=50)))
         sol = solver.solve()
         assert (solver.pivots, sol.objective) == expected
 
@@ -544,8 +583,8 @@ def _lazy_and_eager(run):
     """
     runs = []
     for bits in (simplex._REDUCE_BITS, 0):
-        # each run builds and starts LP(alpha) afresh, under its own threshold
-        _alpha_start.cache_clear()
+        # each run builds and starts its LP afresh, under its own threshold
+        _start.cache_clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(simplex, "_REDUCE_BITS", bits)
             pivots, solvers = [], []
@@ -619,8 +658,10 @@ def test_lazy_reduction_takes_the_eager_path_with_cuts():
 
 @pytest.mark.parametrize("n, seed", [(5, 1), (5, 4), (6, 3)])
 def test_lazy_reduction_takes_the_eager_path_on_latency_lps(n, seed):
+    """From the shared start and from a scratch solve of the whole model,
+    whose longer pivot path leaves rows unreduced on every instance here."""
     inst = gen_random(n, seed=seed, max_weight=50)
-    path, _, lazy = _lazy_and_eager(lambda: solve_latency_lp(inst))
+    path, _, lazy = _lazy_and_eager(lambda: (solve_latency_lp(inst), solve_latency_lp_cold(inst)))
     assert path and lazy
 
 
