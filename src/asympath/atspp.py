@@ -77,18 +77,26 @@ def run_cover_loop(inst, k, iterations):
     cyclic component has two distinct nodes of in-degree exactly one, no
     label exceeds ceil(log2 n), and every node stays in the active set or
     inside the contracted arcs.  At the end, the number of F paths through
-    each active node must equal iterations minus its label.
+    each active node must equal iterations minus its label.  A round whose
+    W equals the last covered W reuses that cover, which is optimal for it;
+    W only shrinks, so no earlier W comes back.
     """
+    require_count(k, "k")
+    require_count(iterations, "iterations")
     n, s, t = inst.n, inst.s, inst.t
     log_n = ceil_log2_int(n)
     state = CoverLoopState(W=set(range(n)), labels=[0] * n, F=[], H=Counter())
+    covered = None  # the W that cover and cover_arcs were solved for
 
     for it in range(iterations):
         state.iteration = it + 1
-        cover = min_k_path_cycle_cover(inst, state.W, k)
+        if state.W != covered:
+            cover = min_k_path_cycle_cover(inst, state.W, k)
+            cover_arcs = cover.arcs()
+            covered = set(state.W)
         state.cover_costs.append(cover.cost)
 
-        decomp = decompose_flow(state.arc_multiset() + cover.arcs(), s, t)
+        decomp = decompose_flow(state.arc_multiset() + cover_arcs, s, t)
 
         new_paths = []
         for p, amt in decomp.paths:

@@ -496,25 +496,27 @@ class _LatencyShape:
             self.fv[v] = {(u, w): column(f"f[{v}][{u},{w}]")
                           for u in [s, *P] if u != v for w in heads if w != u}
 
-    # pair/triple order values as (const, var, sign) terms
+        # the (const, var, sign) term of every pair and triple order value
+        def pair(u, w):
+            if u == s or w == t:
+                return ONE, None, 0
+            if w == s or u == t:
+                return ZERO, None, 0
+            if u < w:
+                return ZERO, self.y[(u, w)], 1
+            return ONE, self.y[(w, u)], -1
 
-    def pair_expr(self, u, w):
-        if u == self.s or w == self.t:
-            return ONE, None, 0
-        if w == self.s or u == self.t:
-            return ZERO, None, 0
-        if u < w:
-            return ZERO, self.y[(u, w)], 1
-        return ONE, self.y[(w, u)], -1
+        def triple(a, b, c):
+            if a == s:
+                return pair(b, c)
+            if s in (b, c) or t in (a, b):
+                return ZERO, None, 0
+            if c == t:
+                return pair(a, b)
+            return ZERO, self.z[(a, b, c)], 1
 
-    def triple_expr(self, a, b, c):
-        if a == self.s:
-            return self.pair_expr(b, c)
-        if self.s in (b, c) or self.t in (a, b):
-            return ZERO, None, 0
-        if c == self.t:
-            return self.pair_expr(a, b)
-        return ZERO, self.z[(a, b, c)], 1
+        self.pair = {k: pair(*k) for k in permutations(range(n), 2)}
+        self.triple = {k: triple(*k) for k in permutations(range(n), 3)}
 
     @staticmethod
     def value(values, expr):
@@ -570,7 +572,7 @@ class _LatencyShape:
                 if u == v:
                     continue
                 # flow out of u equals x[u,v]
-                const, var, sign = self.pair_expr(u, v)
+                const, var, sign = self.pair[(u, v)]
                 coeffs = {idx: ONE for (a, b), idx in arcs.items() if a == u}
                 coeffs[var] = -sign
                 model.add_eq(coeffs, const)
@@ -590,10 +592,10 @@ class _LatencyShape:
         values violate under the distances d, as (key, coeffs, rhs)."""
         s = self.s
         out = []
-        for u, w, v in permutations(range(self.n), 3):
+        for (u, w, v), expr in self.triple.items():
             if v == s:
                 continue
-            const, var, sign = expr = self.triple_expr(u, w, v)
+            const, var, sign = expr
             order = self.value(values, expr)
             if not order:  # l_v >= 0 holds already
                 continue
@@ -612,7 +614,7 @@ class _LatencyShape:
         out = []
         for v in sorted(self.fv):
             arcs = self.fv[v]
-            exprs = {y: self.pair_expr(y, v) for y in self.P if y != v}
+            exprs = {y: self.pair[(y, v)] for y in self.P if y != v}
             needs = ((y, self.value(values, expr)) for y, expr in exprs.items())
             for y, _, cut in _short_cuts(_flow(values, arcs), self.s, needs, range(self.n)):
                 const, var, sign = exprs[y]
@@ -645,13 +647,12 @@ class _LatencyShape:
         return self.reconstruct(list(sol.values.values()), sol.objective, rounds)
 
     def reconstruct(self, values, objective, rounds):
-        n = self.n
-        x = {k: self.value(values, self.pair_expr(*k)) for k in permutations(range(n), 2)}
-        x3 = {k: self.value(values, self.triple_expr(*k)) for k in permutations(range(n), 3)}
+        x = {k: self.value(values, expr) for k, expr in self.pair.items()}
+        x3 = {k: self.value(values, expr) for k, expr in self.triple.items()}
         flows = {v: _flow(values, arcs) for v, arcs in self.fv.items()}
         ell = {v: values[self.lv[v]] for v in self.lv}
         return LatencyLpSolution(
-            n=n, s=self.s, t=self.t, x=x, x3=x3, flows=flows, ell=ell,
+            n=self.n, s=self.s, t=self.t, x=x, x3=x3, flows=flows, ell=ell,
             objective=objective, rounds=rounds,
         )
 

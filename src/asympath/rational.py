@@ -51,9 +51,10 @@ def common_denominator(values):
     """Least common multiple of the denominators of exact values.
 
     Multiplying each value x by it gives the integer
-    x.numerator * (L // x.denominator); a float raises TypeError.
+    x.numerator * (L // x.denominator); an exact int has denominator 1,
+    and a float or a bool raises TypeError.
     """
-    return lcm(1, *(as_fraction(x).denominator for x in values))
+    return lcm(1, *(1 if type(x) is int else as_fraction(x).denominator for x in values))
 
 
 def scaled_matrix(rows):

@@ -195,3 +195,38 @@ def test_cover_layer_is_pinned(n, max_weight):
 
 def test_cover_layer_on_mixed_denominators_is_pinned():
     assert _digest(_cover_layer(_mixed_closure())) == MIXED_CLOSURE_DIGEST
+
+
+def _covered_sets(monkeypatch):
+    """Patch the cover loop's assignment solver to record each W it covers."""
+    seen = []
+    solve = atspp.min_k_path_cycle_cover
+
+    def counting(inst, W, k):
+        seen.append(sorted(W))
+        return solve(inst, W, k)
+
+    monkeypatch.setattr(atspp, "min_k_path_cycle_cover", counting)
+    return seen
+
+
+def test_cover_loop_solves_one_assignment_per_active_set(monkeypatch):
+    seen = _covered_sets(monkeypatch)
+    for n in range(2, 13):
+        for seed in range(4):
+            inst = metric.gen_random(n, seed=seed, max_weight=50)
+            log_n = ceil_log2_int(n)
+            for run, rounds in ((atspp.solve_atspp, 2 * log_n + 1),
+                                (lambda i: atspp.solve_k_person(i, 2), 3 * log_n + 1)):
+                seen.clear()
+                _, state = run(inst)
+                Ws = [e["W"] for e in state.trace if "W" in e]
+                # one call for each run of equal consecutive W, with that W
+                assert seen == [W for i, W in enumerate(Ws) if i == 0 or Ws[i - 1] != W]
+                assert len(Ws) == len(state.cover_costs) == state.iteration == rounds
+
+    # the console-script instance: W never shrinks, so one cover serves 7 rounds
+    seen.clear()
+    _, state = atspp.solve_atspp(metric.gen_random(5, seed=1, max_weight=100))
+    assert seen == [[0, 1, 2, 3, 4]]
+    assert len(state.trace) == 7

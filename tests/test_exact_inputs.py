@@ -129,6 +129,10 @@ def test_exact_value_is_accepted(entry, value):
     lambda: metric.induced_subinstance(INST, {0, 1.0, 3}, 0, 3),
     lambda: cover.min_k_path_cycle_cover(INST, {0, 1.0, 2, 3}, 1),
     lambda: latency.total_latency(INST, [0, 1.0, 2, 3]),
+    lambda: atspp.run_cover_loop(INST, 1, -3),
+    lambda: atspp.run_cover_loop(INST, 1, 2.0),
+    lambda: atspp.run_cover_loop(INST, 1, True),
+    lambda: atspp.run_cover_loop(INST, 0, 3),
 ], ids=["cover-node", "induced-node", "k-person-k", "k-person-bool-k", "cover-float-k",
         "multipath-bool-k", "solve-k-person-float-k", "closure-negative-node",
         "closure-node-past-n", "closure-one-node", "closure-negative-arc", "bad-gap-small-d",
@@ -138,7 +142,8 @@ def test_exact_value_is_accepted(entry, value):
         "closure-float-n", "gap-report-float-count", "gap-report-bool-count",
         "gap-report-float-seed", "gap-report-string-seed", "induced-bool-node",
         "cover-bool-node", "latency-bool-node", "induced-float-node", "cover-float-node",
-        "latency-float-node"])
+        "latency-float-node", "cover-loop-negative-iterations", "cover-loop-float-iterations",
+        "cover-loop-bool-iterations", "cover-loop-zero-k"])
 def test_misfit_argument_raises_input_error(call):
     with pytest.raises(InputError) as exc:
         call()
