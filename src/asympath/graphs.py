@@ -3,7 +3,8 @@
 All values are exact: the assignment solver takes and returns ints,
 flows and capacities are Fractions at the interface, and the max-flow
 and the flow decomposition run on their inputs scaled to ints over one
-common denominator.  There are no epsilon comparisons in this module.
+common denominator; a FlowNetwork keeps that scaling for every max flow
+over one set of capacities.  There are no epsilon comparisons in this module.
 Functions are pure and deterministic: ties break toward lower node
 indices everywhere.
 """
@@ -221,37 +222,61 @@ def min_cost_perfect_matching(cost):
     return matching, sum(cost[match_of_col[j]][j] for j in range(1, m + 1))
 
 
+class FlowNetwork:
+    """Capacities as ints over the lcm L of their denominators, ready for
+    max_flow_min_cut to take from any source to any sink.
+
+    capacities: ArcFlow or {(u,v): rational}.  A negative capacity raises
+    InputError and a float or a bool TypeError.  Zero capacities and
+    self-loops carry no flow and are left out, so nodes holds only the
+    ends of positive arcs.  capacity[u][v] is the int capacity of u->v
+    (0 for the reverse of an arc), and neighbours[u] lists capacity[u]'s
+    keys in index order.  max_flow_min_cut works on a copy, so one
+    network serves every sink.
+    """
+
+    __slots__ = ("scale", "capacity", "neighbours", "nodes")
+
+    def __init__(self, capacities):
+        items = [(arc, cap if type(cap) is int else as_fraction(cap))
+                 for arc, cap in capacities.items()]
+        L = common_denominator(cap for _, cap in items)
+        capacity = {}
+        for (u, v), cap in items:
+            cap = cap.numerator * (L // cap.denominator)
+            if cap < 0:
+                raise InputError(f"negative capacity on ({u},{v})")
+            if cap == 0 or u == v:
+                continue
+            out = capacity.setdefault(u, {})
+            out[v] = out.get(v, 0) + cap
+            capacity.setdefault(v, {}).setdefault(u, 0)
+        self.scale = L
+        self.capacity = capacity
+        self.neighbours = {u: sorted(r) for u, r in capacity.items()}
+        self.nodes = frozenset(capacity)
+
+
 def max_flow_min_cut(capacities, source, sink, nodes=None):
     """Exact max flow and a minimum cut (sink side) in a directed graph.
 
-    capacities: ArcFlow or {(u,v): rational}.  Returns (value, cut) where
-    cut is a frozenset containing sink but not source whose incoming
-    capacity equals value.  nodes widens the ground set the cut is drawn
-    from (defaults to the capacity support plus the two terminals).
-    Shortest augmenting paths run on the capacities scaled to ints by the
-    lcm L of their denominators, which keeps every path and the cut; the
-    value is Fraction(flow, L).
+    capacities: a FlowNetwork, or an ArcFlow or {(u,v): rational} that is
+    made into one.  Returns (value, cut) where cut is a frozenset
+    containing sink but not source whose incoming capacity equals value.
+    nodes widens the ground set the cut is drawn from (defaults to the
+    capacity support plus the two terminals).  Shortest augmenting paths
+    run on the network's ints over L, which keeps every path and the
+    cut; the value is Fraction(flow, L).  The network is left as it was.
     """
     if source == sink:
         raise InputError("source and sink must differ")
-    items = [(arc, as_fraction(cap)) for arc, cap in capacities.items()]
-    L = common_denominator(cap for _, cap in items)
-    residual = {source: {}, sink: {}}
-    node_set = set([source, sink])
-    for (u, v), cap in items:
-        cap = cap.numerator * (L // cap.denominator)
-        if cap < 0:
-            raise InputError(f"negative capacity on ({u},{v})")
-        if cap == 0 or u == v:
-            continue
-        out = residual.setdefault(u, {})
-        out[v] = out.get(v, 0) + cap
-        residual.setdefault(v, {}).setdefault(u, 0)
-        node_set.add(u)
-        node_set.add(v)
+    if not isinstance(capacities, FlowNetwork):
+        capacities = FlowNetwork(capacities)
+    nbrs = capacities.neighbours
+    residual = {u: dict(r) for u, r in capacities.capacity.items()}
+    node_set = capacities.nodes | {source, sink}
     if nodes is not None:
-        node_set.update(nodes)
-    nbrs = {u: sorted(r) for u, r in residual.items()}
+        node_set = node_set.union(nodes)
 
     value = 0
     while True:
@@ -262,7 +287,9 @@ def max_flow_min_cut(capacities, source, sink, nodes=None):
             u = queue.popleft()
             if u == sink:
                 break
-            r = residual[u]
+            r = residual.get(u)
+            if r is None:  # a source without arcs
+                continue
             for v in nbrs[u]:
                 if v not in parent and r[v] > 0:
                     parent[v] = u
@@ -270,8 +297,7 @@ def max_flow_min_cut(capacities, source, sink, nodes=None):
         if sink not in parent:
             # this search missed the sink, so it visited exactly the
             # residual-reachable set: the cut is everything else
-            cut = frozenset(v for v in node_set if v not in parent)
-            return Fraction(value, L), cut
+            return Fraction(value, capacities.scale), node_set.difference(parent)
         bottleneck = None
         v = sink
         while parent[v] is not None:

@@ -7,19 +7,20 @@ shape, priced with the instance's costs.  Violated cut constraints are
 found by exact max-flow separation; rows are appended to a solved tableau
 and reoptimized with dual simplex, so each round costs only a handful of
 pivots.  Every LP(alpha) optimum is then checked by an exact dual
-certificate read from the final basis.
+certificate read from the final basis, on ints.
 """
 
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
+from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, permutations
 from math import gcd, lcm
 import operator
 
 from .errors import DegenerateLatencyError, InputError, InvariantError
-from .graphs import ArcFlow, max_flow_min_cut
+from .graphs import ArcFlow, FlowNetwork, max_flow_min_cut
 from .rational import as_fraction, common_denominator, to_json
 from .simplex import OPTIMAL, LpModel, SimplexSolver
 
@@ -63,14 +64,15 @@ _STARTS = 16
 
 
 @lru_cache(maxsize=_STARTS)
-def _start(build, *shape):
-    """(started solver, columns) for (model, columns) = build(*shape),
-    where build's model has a zero objective and rows that depend on
-    nothing but shape.  Phase 1 reads only the rows, so every instance of
-    that shape shares it; a solver prices a copy (with_objective) and
-    never mutates it."""
-    model, columns = build(*shape)
-    return SimplexSolver(model).start(), columns
+def _start(build, *key):
+    """(started solver, shape) for (model, shape) = build(*key), where
+    build's model has a zero objective and rows that depend on nothing but
+    key, and shape holds what else every instance of key reads (its
+    columns, and for LP(alpha) its rows' int form).  Phase 1 reads only
+    the rows, so every instance of that key shares it; a solver prices a
+    copy (with_objective) and never mutates it."""
+    model, shape = build(*key)
+    return SimplexSolver(model).start(), shape
 
 
 # ---------------------------------------------------------------------------
@@ -85,14 +87,25 @@ def build_alpha_lp(inst, alpha):
     lazily by solve_lp_alpha.  Returns (model, var_index) with var_index
     mapping each arc to its column.
     """
-    model, xv = _alpha_model(inst.n, inst.s, inst.t, as_fraction(alpha))
-    model.obj = [inst.d[u][v] for u, v in xv]
-    return model, xv
+    model, shape = _alpha_model(inst.n, inst.s, inst.t, as_fraction(alpha))
+    model.obj = [inst.d[u][v] for u, v in shape.columns]
+    return model, shape.columns
+
+
+@dataclass(frozen=True)
+class _AlphaShape:
+    """What every LP(alpha) instance of one shape shares besides its
+    start: columns maps each arc to its column, in inst.arcs() order,
+    and rows holds the model's rows in the int form _certify reads
+    (_int_row), converted once."""
+
+    columns: dict
+    rows: list
 
 
 def _alpha_model(n, s, t, alpha):
-    """build_alpha_lp's rows, which depend on nothing but (n, s, t, alpha),
-    with a zero objective; columns in inst.arcs() order."""
+    """(model, _AlphaShape): build_alpha_lp's rows, which depend on nothing
+    but (n, s, t, alpha), with a zero objective."""
     if not ZERO < alpha <= ONE:
         raise InputError("alpha must lie in (0, 1]")
     model = LpModel()
@@ -118,7 +131,7 @@ def _alpha_model(n, s, t, alpha):
         if v == s:
             continue
         model.add_ge({xv[(w, v)]: ONE for w in range(n) if w != v}, alpha)
-    return model, xv
+    return model, _AlphaShape(xv, [_int_row(row) for row in model.constraints])
 
 
 def solve_lp_alpha(inst, alpha):
@@ -130,9 +143,11 @@ def solve_lp_alpha(inst, alpha):
     """
     alpha = as_fraction(alpha)
     n, s = inst.n, inst.s
-    start, xv = _start(_alpha_model, n, s, inst.t, alpha)
+    start, shape = _start(_alpha_model, n, s, inst.t, alpha)
+    xv = shape.columns
     d, L = inst.scaled
-    solver = start.with_objective([d[u][v] for u, v in xv], L)
+    costs = [d[u][v] for u, v in xv]  # the distances as ints over L
+    solver = start.with_objective(costs, L)
 
     def separate(sol):
         cuts = _alpha_short_cuts(_flow(list(sol.values.values()), xv), s, alpha, range(n))
@@ -144,12 +159,27 @@ def solve_lp_alpha(inst, alpha):
 
     sol, _ = _cutting_planes(solver, separate, n, "cut relaxation")
     x = list(sol.values.values())
-    _certify(solver.rows(), [inst.d[u][v] for u, v in xv], solver.basis(), x, sol.objective)
+    # the shape's rows in their int form, then the cut rows; under the
+    # costs scaled by L, the optimum is L times the value
+    rows = shape.rows + solver.rows()[len(shape.rows):]
+    _certify(rows, costs, solver.basis(), x, sol.objective * L)
     return sol.objective, _flow(x, xv)
 
 
 # for each sense, the test of (lhs, rhs) that is true when the row fails
 _VIOLATED = {">=": operator.lt, "<=": operator.gt, "=": operator.ne}
+
+
+def _int_row(row):
+    """(sense, coeffs, rhs) scaled by the lcm of its denominators, so that
+    every coefficient and the rhs is an int; a row already in that form
+    is returned as it is.  The scaled row has the same feasible set."""
+    sense, coeffs, rhs = row
+    if type(rhs) is int and set(map(type, coeffs.values())) <= {int}:
+        return row
+    q = lcm(rhs.denominator, *(a.denominator for a in coeffs.values()))
+    return (sense, {j: a.numerator * (q // a.denominator) for j, a in coeffs.items()},
+            rhs.numerator * (q // rhs.denominator))
 
 
 def _certify(rows, costs, basis, x, value):
@@ -163,16 +193,28 @@ def _certify(rows, costs, basis, x, value):
     the sign its sense asks (>= 0 on >=, <= 0 on <=), every reduced cost
     c_j - y . A_j must be nonnegative and b . y == value, so by weak
     duality no x is cheaper.  Reads nothing but its arguments, and shares
-    no code with the tableau."""
+    no code with the tableau.
+
+    Every check runs on ints: each row over its own lcm (_int_row, so a
+    caller may hand in rows it converted once), x over the lcm X of its
+    denominators, the costs over theirs, C, and y over one denominator.
+    A row scaled by a positive factor has the same feasible set, so a
+    dual of the scaled rows certifies the rows as given."""
     nv = len(costs)
+    rows = [_int_row(row) for row in rows]
     support = [(j, v) for j, v in enumerate(x) if v]
+    X = common_denominator(v for _, v in support)
+    support = [(j, v.numerator * (X // v.denominator)) for j, v in support]
     if any(v < 0 for _, v in support):
         raise InvariantError("certificate: a variable is negative")
     for r, (sense, coeffs, rhs) in enumerate(rows):
-        lhs = sum((coeffs[j] * v for j, v in support if j in coeffs), ZERO)
-        if _VIOLATED[sense](lhs, rhs):
+        lhs = sum(coeffs[j] * v for j, v in support if j in coeffs)
+        if _VIOLATED[sense](lhs, rhs * X):
             raise InvariantError(f"certificate: x violates row {r}")
-    if sum((costs[j] * v for j, v in support), ZERO) != value:
+    C = common_denominator(costs)
+    costs = [c.numerator * (C // c.denominator) for c in costs]
+    value = as_fraction(value)
+    if sum(costs[j] * v for j, v in support) * value.denominator != value.numerator * C * X:
         raise InvariantError("certificate: c . x differs from the value")
 
     columns = set(basis.values())
@@ -180,57 +222,59 @@ def _certify(rows, costs, basis, x, value):
     tight = [r for r in basis if nv + r not in columns]
     if len(columns) != len(basis) or len(tight) != len(structural):
         raise InvariantError("certificate: basis is not square")
-    # one equation y . A_j == c_j per basic variable j, over the tight rows
+    # one equation y . A_j == c_j per basic variable j, over the tight
+    # rows; with the costs times C every right-hand side is an int, and y
+    # is C times the dual, so every sign and inequality below holds alike
     eqs = {j: {} for j in structural}
     for r in tight:
         for j, a in rows[r][1].items():
             if j in eqs:
                 eqs[j][r] = a
-    y = _solve_square([(eqs[j], costs[j]) for j in sorted(structural)])
+    y, D = _solve_square([(eqs[j], costs[j]) for j in sorted(structural)])
 
     for r, yr in y.items():
         sense = rows[r][0]
         if yr < 0 and sense == ">=" or yr > 0 and sense == "<=":
             raise InvariantError(f"certificate: the dual of row {r} has the wrong sign")
-    # y . A_j as ints over one denominator D: row r's coefficients over
-    # their lcm q[r], and y_r * D / q[r] an int
-    q = {r: lcm(*(a.denominator for a in rows[r][1].values())) for r, yr in y.items() if yr}
-    D = lcm(*(q[r] * y[r].denominator for r in q), *(c.denominator for c in costs))
+    # y . A_j over D (and C), against c_j over C
     ya = [0] * nv
-    for r, qr in q.items():
-        yr = y[r].numerator * (D // (qr * y[r].denominator))
-        for j, a in rows[r][1].items():
-            ya[j] += a.numerator * (qr // a.denominator) * yr
-    if any(c.numerator * (D // c.denominator) < v for c, v in zip(costs, ya)):
+    for r, yr in y.items():
+        if yr:
+            for j, a in rows[r][1].items():
+                ya[j] += a * yr
+    if any(c * D < v for c, v in zip(costs, ya)):
         raise InvariantError("certificate: a reduced cost is negative")
-    if sum((rows[r][2] * yr for r, yr in y.items()), ZERO) != value:
+    if sum(rows[r][2] * yr for r, yr in y.items()) * value.denominator != value.numerator * D * C:
         raise InvariantError("certificate: b . y differs from the value")
 
 
 def _solve_square(eqs):
-    """{unknown: value} solving the equations (coeffs, rhs), coeffs an
-    {unknown: Fraction} dict, by sparse exact elimination; InvariantError
-    unless the system is square and nonsingular.  Each step takes the
-    shortest open equation and, in it, the unknown named by the fewest
-    open equations.  An equation may be scaled, so each is kept as int
-    numerators and combined with int multipliers."""
-    ints = []
-    for coeffs, rhs in eqs:
-        den = lcm(rhs.denominator, *(a.denominator for a in coeffs.values()))
-        ints.append(({u: a.numerator * (den // a.denominator) for u, a in coeffs.items()},
-                     rhs.numerator * (den // rhs.denominator)))
+    """(numerators, D): {unknown: numerator}, each over the one positive
+    int denominator D, solving the equations (coeffs, rhs), coeffs an
+    {unknown: int} dict and rhs an int, by sparse exact elimination;
+    InvariantError unless the system is square and nonsingular.  Each
+    step takes the shortest open equation and, in it, the unknown named
+    by the fewest open equations.  An equation may be scaled, so each is
+    combined with int multipliers; the coeffs dicts are consumed."""
     holders = defaultdict(set)  # unknown -> open equations naming it
-    for i, (coeffs, _) in enumerate(ints):
+    for i, (coeffs, _) in enumerate(eqs):
         for u in coeffs:
             holders[u].add(i)
-    if len(holders) != len(ints):
+    if len(holders) != len(eqs):
         raise InvariantError("certificate: basis is singular")
-    open_eqs = set(range(len(ints)))
+    eqs = list(eqs)
+    open_eqs = set(range(len(eqs)))
+    # (length, equation) for each open equation, and stale entries that
+    # an equation's later length or its close left behind
+    shortest = [(len(coeffs), i) for i, (coeffs, _) in enumerate(eqs)]
+    heapify(shortest)
     steps = []
     while open_eqs:
-        i = min(open_eqs, key=lambda k: len(ints[k][0]))
+        size, i = heappop(shortest)
+        if i not in open_eqs or size != len(eqs[i][0]):
+            continue
         open_eqs.remove(i)
-        coeffs, rhs = ints[i]
+        coeffs, rhs = eqs[i]
         if not coeffs:
             raise InvariantError("certificate: basis is singular")
         v = min(coeffs, key=lambda u: len(holders[u]))
@@ -239,7 +283,7 @@ def _solve_square(eqs):
             holders[u].discard(i)
         for k in holders.pop(v):
             # other * a / g - coeffs * b / g is free of v
-            other, other_rhs = ints[k]
+            other, other_rhs = eqs[k]
             b = other.pop(v)
             g = gcd(a, b)
             fa, fb = a // g, b // g
@@ -254,12 +298,24 @@ def _solve_square(eqs):
                     else:
                         del other[u]
                         holders[u].discard(k)
-            ints[k] = (other, other_rhs * fa - fb * rhs)
+            eqs[k] = (other, other_rhs * fa - fb * rhs)
+            heappush(shortest, (len(other), k))
         steps.append((v, a, coeffs, rhs))
-    y = {}
+    # back-substitution: a * y_v = rhs - sum c * y_u, with each y_u known
+    # as y[u] / D; y_v = num / (a * D) joins the others over D * a / g
+    y, D = {}, 1
     for v, a, coeffs, rhs in reversed(steps):
-        y[v] = (rhs - sum((c * y[u] for u, c in coeffs.items() if u != v), ZERO)) / a
-    return y
+        num = rhs * D - sum(c * y[u] for u, c in coeffs.items() if u != v)
+        g = gcd(num, a)
+        num, a = num // g, a // g
+        if a < 0:
+            num, a = -num, -a
+        if a != 1:
+            D *= a
+            for u in y:
+                y[u] *= a
+        y[v] = num
+    return y, D
 
 
 def _flow(values, columns):
@@ -271,11 +327,16 @@ def _flow(values, columns):
 def _short_cuts(flow, s, needs, nodes):
     """(target, value, cut) for each (target, need) pair of needs, in order,
     whose max flow from s in flow falls short of a positive need; value is
-    that max flow and cut a minimum cut over nodes (target side).  Private,
-    so perfbench's tracer charges each max flow to the public caller."""
+    that max flow and cut a minimum cut over nodes (target side).  flow is
+    scaled to one int network, at the first positive need, and every max
+    flow runs on it.  Private, so perfbench's tracer charges each max flow
+    to the public caller."""
+    network = None
     for v, need in needs:
         if need > 0:
-            value, cut = max_flow_min_cut(flow, s, v, nodes=nodes)
+            if network is None:
+                network = FlowNetwork(flow)
+            value, cut = max_flow_min_cut(network, s, v, nodes=nodes)
             if value < need:
                 yield v, value, cut
 

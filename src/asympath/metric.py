@@ -11,6 +11,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
+from math import gcd
 
 from .errors import InfeasibleError, InputError, require_count
 from .rational import as_fraction, common_denominator, scaled_matrix, to_json
@@ -128,6 +130,9 @@ def metric_closure(n, arcs, s, t, weights=None):
     InfeasibleError naming the pair.  Floyd-Warshall runs on the arc
     costs scaled to ints by the lcm L of their denominators, and the
     distances come back as Fraction(dist, L).
+    The instance's scaled value is those ints over L, each divided by the
+    gcd g of L and every distance: the lcm of the distances' own
+    denominators is L / g, so it equals scaled_matrix(d).
     """
     if require_count(n, "n") < 2:
         raise InputError("metric_closure needs n >= 2")
@@ -138,7 +143,8 @@ def metric_closure(n, arcs, s, t, weights=None):
             raise InputError(f"arc ({u}, {v}) has an endpoint outside 0..{n - 1}")
         if u == v:
             continue
-        w = as_fraction(w)
+        if type(w) is not int:
+            w = as_fraction(w)
         if w < 0:
             raise InputError(f"negative arc weight on ({u}, {v})")
         exact[(u, v)] = w
@@ -167,13 +173,18 @@ def metric_closure(n, arcs, s, t, weights=None):
         for v in range(n):
             if dist[u][v] is None:
                 raise InfeasibleError(f"node {v} is unreachable from node {u}")
-    return MetricInstance(
+    g = gcd(L, *chain.from_iterable(dist))
+    rows = tuple(tuple(x // g for x in row) for row in dist)
+    L //= g
+    inst = MetricInstance(
         n=n,
         s=s,
         t=t,
-        d=tuple(tuple(Fraction(x, L) for x in row) for row in dist),
+        d=tuple(tuple(Fraction(x, L) for x in row) for row in rows),
         weights=weights,
     )
+    inst.__dict__["scaled"] = rows, L  # where the cached property keeps it
+    return inst
 
 
 def gen_random(n, seed, max_weight):
@@ -187,7 +198,7 @@ def gen_random(n, seed, max_weight):
     for u in range(n):
         for v in range(n):
             if u != v:
-                arcs[(u, v)] = Fraction(rng.randint(1, max_weight))
+                arcs[(u, v)] = rng.randint(1, max_weight)
     return metric_closure(n, arcs, s=0, t=n - 1)
 
 

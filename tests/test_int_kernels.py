@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from asympath import cover, graphs, metric, oracle
 from asympath.lp import solve_latency_lp
-from asympath.errors import ContractError, InfeasibleError
+from asympath.errors import ContractError, InfeasibleError, InputError
 from asympath.graphs import ArcFlow
 from asympath.metric import MetricInstance
 
@@ -264,6 +264,35 @@ def test_max_flow_equals_fraction_reference(case):
     value, cut = graphs.max_flow_min_cut(caps, source, sink, nodes=nodes)
     assert (value, cut) == ref.max_flow_min_cut(caps, source, sink, nodes=nodes)
     assert_all_fractions([value])
+
+
+@DERANDOMIZED
+@given(capacity_maps())
+def test_one_network_serves_every_sink(case):
+    # one network over the capacities, zeros and self-loops included, taken
+    # to every sink in turn, sinks past the support too, and then again:
+    # the second pass finds the network as the first one left it
+    caps, source, _, nodes = case
+    network = graphs.FlowNetwork(caps)
+    top = max([source, *(max(arc) for arc, _ in caps.items())])
+    expected = {sink: ref.max_flow_min_cut(caps, source, sink, nodes=nodes)
+                for sink in range(top + 3) if sink != source}
+    for _ in range(2):
+        for sink, want in expected.items():
+            value, cut = graphs.max_flow_min_cut(network, source, sink, nodes=nodes)
+            assert (value, cut) == want
+            assert_all_fractions([value])
+
+
+@pytest.mark.parametrize("bad, error", [
+    (F(-1, 2), InputError), (-1, InputError), (0.5, TypeError), (True, TypeError),
+])
+def test_network_rejects_negative_float_and_bool_capacities(bad, error):
+    caps = {(0, 1): F(1, 2), (1, 2): bad}
+    with pytest.raises(error):
+        graphs.FlowNetwork(caps)
+    with pytest.raises(error):
+        graphs.max_flow_min_cut(caps, 0, 2)
 
 
 @DERANDOMIZED

@@ -253,9 +253,8 @@ def test_certificate_rejects_a_wrong_value_cost_or_basis(monkeypatch, seed):
 # basis {row 0: x0, row 1: its slack (2 + 1)}, y = (1, 0), so b . y = 2
 TWO_ROWS = [(">=", {0: F(1), 1: F(1)}, F(2)), (">=", {1: F(1)}, F(1))]
 
-
-@pytest.mark.parametrize("rows, basis, x, value, fault", [
-    # each input fails one check alone
+# each input fails one check alone: (rows, basis, x, value, fault)
+CERTIFICATE_FAULTS = [
     (TWO_ROWS, {0: 0, 1: 3}, [-1, 3], 2, "negative"),
     (TWO_ROWS, {0: 0, 1: 3}, [2, 0], 2, "violates row 1"),
     (TWO_ROWS, {0: 0, 1: 3}, [2, 1], 2, "c . x"),
@@ -263,13 +262,56 @@ TWO_ROWS = [(">=", {0: F(1), 1: F(1)}, F(2)), (">=", {1: F(1)}, F(1))]
     # x0 <= 3 with x0 basic prices the row at y = 1 > 0
     ([("<=", {0: F(1)}, F(3))], {0: 0}, [3, 0], 3, "wrong sign"),
     (TWO_ROWS, {0: 0, 1: 0}, [1, 1], 2, "not square"),
-], ids=["negative-x", "infeasible-x", "cost-of-x", "dual-value", "dual-sign", "repeated-column"])
-def test_certificate_checks_each_condition(rows, basis, x, value, fault):
-    costs = [F(1), F(1)]
-    with pytest.raises(InvariantError, match=re.escape(fault)):
-        lp._certify(rows, costs, basis, [F(v) for v in x], F(value))
+]
+FAULT_IDS = ["negative-x", "infeasible-x", "cost-of-x", "dual-value", "dual-sign",
+             "repeated-column"]
+
+
+def _thirds(rows, basis, x, value, fault):
+    """A fault case with every row, the costs and the value divided by 3:
+    the same program, with Fraction coefficients and right-hand sides, so
+    the same check fails.  x stays as it is, since x / 3 would no longer
+    meet the rows (a . x / 9 against b / 3)."""
+    rows = [(sense, {j: a / 3 for j, a in coeffs.items()}, rhs / 3)
+            for sense, coeffs, rhs in rows]
+    return rows, [F(1, 3), F(1, 3)], basis, [F(v) for v in x], F(value, 3), fault
+
+
+def _alpha_certificate(inst, alpha):
+    """The certificate inputs of solve_lp_alpha(inst, alpha)'s optimum as the
+    solver holds them: its Fraction rows, model and cut rows, and the
+    instance's Fraction distances as costs."""
+    seen = []
+    planes = lp._cutting_planes
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lp, "_cutting_planes", lambda solver, *args: (
+            seen.append(solver) or planes(solver, *args)))
+        value, _ = lp.solve_lp_alpha(inst, alpha)
+    solver, = seen
+    x = list(solver.solution().values.values())
+    return solver.rows(), [inst.d[u][v] for u, v in inst.arcs()], solver.basis(), x, value, None
+
+
+@pytest.mark.parametrize("case", [
+    *((rows, [F(1), F(1)], basis, [F(v) for v in x], F(value), fault)
+      for rows, basis, x, value, fault in CERTIFICATE_FAULTS),
+    *(_thirds(*case) for case in CERTIFICATE_FAULTS),
+    lambda: _alpha_certificate(metric.gen_bad_gap(12), F(1, 2)),
+    lambda: _alpha_certificate(metric.gen_random(9, seed=4, max_weight=100), F(2, 3)),
+], ids=[*FAULT_IDS, *(f"{name}-thirds" for name in FAULT_IDS), "bad-gap-half",
+        "random-two-thirds"])
+def test_certificate_checks_each_condition(case):
+    rows, costs, basis, x, value, fault = case() if callable(case) else case
+    if fault is None:
+        # an optimum the simplex certified, over Fraction rows with
+        # fractional right-hand sides
+        assert any(rhs.denominator > 1 for _, _, rhs in rows)
+        lp._certify(rows, costs, basis, x, value)
+    else:
+        with pytest.raises(InvariantError, match=re.escape(fault)):
+            lp._certify(rows, costs, basis, x, value)
     # the optimum [1, 1] of TWO_ROWS, with x1 basic on row 1
-    lp._certify(TWO_ROWS, costs, {0: 0, 1: 1}, [F(1), F(1)], F(2))
+    lp._certify(TWO_ROWS, [F(1), F(1)], {0: 0, 1: 1}, [F(1), F(1)], F(2))
 
 
 class TestLatencyModel:

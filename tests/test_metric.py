@@ -179,6 +179,25 @@ def test_scaled_distances_are_cached_per_instance():
     assert sub.scaled == scaled_matrix(sub.d) == (((0, 6), (5, 0)), 6)
 
 
+@pytest.mark.parametrize("make, scale", [
+    *((lambda n=n, seed=seed, w=w: metric.gen_random(n, seed=seed, max_weight=w), 1)
+      for n, seed, w in ((2, 0, 1), (5, 1, 7), (9, 2, 100), (14, 3, 100), (20, 4, 1000))),
+    (lambda: metric.gen_bad_gap(12), 1),
+    # distances over 6, int arcs among them
+    (lambda: metric.metric_closure(3, {(0, 1): Fraction(1, 2), (1, 2): Fraction(1, 3),
+                                       (0, 2): 2, (1, 0): 1, (2, 1): 3, (2, 0): 1}, 1, 0), 6),
+    # the arcs' lcm is 2, yet every distance is an int: 5/2 loses to 1 + 1
+    (lambda: metric.metric_closure(3, {(0, 1): 1, (1, 2): 1, (0, 2): Fraction(5, 2),
+                                       (1, 0): 1, (2, 1): 1, (2, 0): 1}, 0, 2), 1),
+], ids=["random-2", "random-5", "random-9", "random-14", "random-20", "bad-gap",
+        "closure-over-sixths", "integral-closure-of-halves"])
+def test_closure_hands_the_instance_its_scaled_distances(make, scale):
+    inst = make()
+    assert "scaled" in vars(inst)  # set by metric_closure, not scaled on first use
+    assert inst.scaled == scaled_matrix(inst.d)
+    assert inst.scaled[1] == scale
+
+
 def test_json_round_trip_with_fractions():
     d = (
         (Fraction(0), Fraction(1, 2)),
