@@ -3,10 +3,10 @@
 All values are exact: the assignment solver takes and returns ints,
 flows and capacities are Fractions at the interface, and the max-flow
 and the flow decomposition run on their inputs scaled to ints over one
-common denominator; a FlowNetwork keeps that scaling for every max flow
-over one set of capacities.  There are no epsilon comparisons in this module.
-Functions are pure and deterministic: ties break toward lower node
-indices everywhere.
+common denominator (rational.over_lcm); a FlowNetwork keeps that
+scaling for every max flow over one set of capacities.  There are no
+epsilon comparisons in this module.  Functions are pure and
+deterministic: ties break toward lower node indices everywhere.
 """
 
 from collections import Counter, deque
@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import chain
 
 from .errors import AcyclicityError, ContractError, InfeasibleError, InputError, InvariantError
-from .rational import as_fraction, common_denominator, to_json
+from .rational import as_fraction, over_lcm, to_json
 
 ZERO = Fraction(0)
 
@@ -37,12 +37,12 @@ class ArcFlow:
                 self.add(u, v, amt)
 
     @classmethod
-    def from_paths(cls, paths, amount=Fraction(1)):
-        """Sum of unit (or given-amount) flows along node sequences."""
+    def from_paths(cls, paths):
+        """Sum of unit flows along node sequences."""
         f = cls()
         for p in paths:
             for u, v in zip(p, p[1:]):
-                f.add(u, v, amount)
+                f.add(u, v, 1)
         return f
 
     def add(self, u, v, amt):
@@ -238,12 +238,9 @@ class FlowNetwork:
     __slots__ = ("scale", "capacity", "neighbours", "nodes")
 
     def __init__(self, capacities):
-        items = [(arc, cap if type(cap) is int else as_fraction(cap))
-                 for arc, cap in capacities.items()]
-        L = common_denominator(cap for _, cap in items)
+        caps, L = over_lcm(cap for _, cap in capacities.items())
         capacity = {}
-        for (u, v), cap in items:
-            cap = cap.numerator * (L // cap.denominator)
+        for ((u, v), _), cap in zip(capacities.items(), caps):
             if cap < 0:
                 raise InputError(f"negative capacity on ({u},{v})")
             if cap == 0 or u == v:
@@ -373,7 +370,7 @@ def _find_cycle(succ):
 
 
 def decompose_flow(flow, s, t):
-    """Split a flow (an ArcFlow, or a Counter of int arc amounts) into
+    """Split a flow (an ArcFlow, or a Counter of exact arc amounts) into
     cycles plus s-t paths whose union is acyclic; a self-loop or an amount
     that is not positive raises InputError.
 
@@ -385,10 +382,10 @@ def decompose_flow(flow, s, t):
     """
     if s == t:
         raise InputError("s and t must differ")
-    L = common_denominator(amt for _, amt in flow.items())
+    amounts, L = over_lcm(amt for _, amt in flow.items())
     work, succ, balance = {}, {}, Counter()  # balance: out minus in
-    for (u, v), amt in flow.items():
-        work[(u, v)] = amt = amt.numerator * (L // amt.denominator)
+    for ((u, v), _), amt in zip(flow.items(), amounts):
+        work[(u, v)] = amt
         if u == v or amt <= 0:
             raise InputError(f"arc ({u},{v}) must join two nodes and carry a positive amount")
         succ.setdefault(u, set()).add(v)

@@ -16,12 +16,12 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, permutations
-from math import gcd, lcm
+from math import gcd
 import operator
 
 from .errors import DegenerateLatencyError, InputError, InvariantError
 from .graphs import ArcFlow, FlowNetwork, max_flow_min_cut
-from .rational import as_fraction, common_denominator, to_json
+from .rational import as_fraction, common_denominator, over, over_lcm, to_json
 from .simplex import OPTIMAL, LpModel, SimplexSolver
 
 ZERO = Fraction(0)
@@ -87,7 +87,7 @@ def build_alpha_lp(inst, alpha):
     lazily by solve_lp_alpha.  Returns (model, var_index) with var_index
     mapping each arc to its column.
     """
-    model, shape = _alpha_model(inst.n, inst.s, inst.t, as_fraction(alpha))
+    model, shape = _alpha_model(inst.n, inst.s, inst.t, _requirement(alpha))
     model.obj = [inst.d[u][v] for u, v in shape.columns]
     return model, shape.columns
 
@@ -103,11 +103,17 @@ class _AlphaShape:
     rows: list
 
 
-def _alpha_model(n, s, t, alpha):
-    """(model, _AlphaShape): build_alpha_lp's rows, which depend on nothing
-    but (n, s, t, alpha), with a zero objective."""
+def _requirement(alpha):
+    """alpha as a Fraction; InputError unless it lies in (0, 1]."""
+    alpha = as_fraction(alpha)
     if not ZERO < alpha <= ONE:
         raise InputError("alpha must lie in (0, 1]")
+    return alpha
+
+
+def _alpha_model(n, s, t, alpha):
+    """(model, _AlphaShape): build_alpha_lp's rows, which depend on nothing
+    but (n, s, t, alpha), with a zero objective; alpha is a _requirement."""
     model = LpModel()
     xv = {}
     for u in range(n):
@@ -141,7 +147,7 @@ def solve_lp_alpha(inst, alpha):
     remaining cut constraints with max-flow until none are violated.
     Returns (value, flow) where flow is an optimal fractional solution.
     """
-    alpha = as_fraction(alpha)
+    alpha = _requirement(alpha)
     n, s = inst.n, inst.s
     start, shape = _start(_alpha_model, n, s, inst.t, alpha)
     xv = shape.columns
@@ -177,9 +183,8 @@ def _int_row(row):
     sense, coeffs, rhs = row
     if type(rhs) is int and set(map(type, coeffs.values())) <= {int}:
         return row
-    q = lcm(rhs.denominator, *(a.denominator for a in coeffs.values()))
-    return (sense, {j: a.numerator * (q // a.denominator) for j, a in coeffs.items()},
-            rhs.numerator * (q // rhs.denominator))
+    ints, _ = over_lcm([*coeffs.values(), rhs])
+    return sense, dict(zip(coeffs, ints)), ints[-1]
 
 
 def _certify(rows, costs, basis, x, value):
@@ -202,17 +207,16 @@ def _certify(rows, costs, basis, x, value):
     dual of the scaled rows certifies the rows as given."""
     nv = len(costs)
     rows = [_int_row(row) for row in rows]
-    support = [(j, v) for j, v in enumerate(x) if v]
-    X = common_denominator(v for _, v in support)
-    support = [(j, v.numerator * (X // v.denominator)) for j, v in support]
+    columns = [j for j, v in enumerate(x) if v]
+    values, X = over_lcm(x[j] for j in columns)
+    support = list(zip(columns, values))
     if any(v < 0 for _, v in support):
         raise InvariantError("certificate: a variable is negative")
     for r, (sense, coeffs, rhs) in enumerate(rows):
         lhs = sum(coeffs[j] * v for j, v in support if j in coeffs)
         if _VIOLATED[sense](lhs, rhs * X):
             raise InvariantError(f"certificate: x violates row {r}")
-    C = common_denominator(costs)
-    costs = [c.numerator * (C // c.denominator) for c in costs]
+    costs, C = over_lcm(costs)
     value = as_fraction(value)
     if sum(costs[j] * v for j, v in support) * value.denominator != value.numerator * C * X:
         raise InvariantError("certificate: c . x differs from the value")
@@ -354,14 +358,14 @@ def _alpha_short_cuts(flow, s, alpha, nodes):
 def flow_alpha_violations(nodes, s, t, flow, alpha):
     """All ways a flow fails feasibility for the cut relaxation.
 
-    nodes is the ground set (an int n means 0..n-1).  Returns a list of
-    human-readable violation strings; empty means the flow satisfies the
-    degree equalities and every cut requirement.
+    nodes is the ground set (an int n, not a bool, means 0..n-1), alpha in
+    (0, 1].  Returns a list of human-readable violation strings; empty means
+    the flow satisfies the degree equalities and every cut requirement.
     """
-    if isinstance(nodes, int):
-        nodes = range(nodes)
-    nodes = sorted(nodes)
-    alpha = as_fraction(alpha)
+    if isinstance(nodes, bool):
+        raise InputError(f"nodes must be an int or a collection of nodes, got {nodes!r}")
+    nodes = sorted(range(nodes) if isinstance(nodes, int) else nodes)
+    alpha = _requirement(alpha)
     violations = []
     for u in nodes:
         out = flow.out_flow(u)
@@ -422,7 +426,7 @@ class LatencyLpSolution:
         L = common_denominator(chain(
             self.x.values(), self.x3.values(), self.ell.values(),
             (amt for fv in self.flows.values() for _, amt in fv.items())))
-        x, x3, ell = (_scaled(vals, L) for vals in (self.x, self.x3, self.ell))
+        x, x3, ell = (dict(zip(m, over(m.values(), L))) for m in (self.x, self.x3, self.ell))
         d, D = inst.scaled
 
         for (u, v), val in x.items():
@@ -437,8 +441,8 @@ class LatencyLpSolution:
                 continue
             # out-flow, in-flow and cost (over L * D) of the s-v flow
             out, inn, cost = [0] * n, [0] * n, 0
-            for (a, b), amt in self.flows[v].items():
-                amt = amt.numerator * (L // amt.denominator)
+            flow = self.flows[v]
+            for (a, b), amt in zip(flow.arcs(), over((amt for _, amt in flow.items()), L)):
                 out[a] += amt
                 inn[b] += amt
                 cost += amt * d[a][b]
@@ -495,11 +499,6 @@ class LatencyLpSolution:
             "x": {f"{u},{w}": val for (u, w), val in sorted(self.x.items()) if val},
             "rounds": self.rounds,
         })
-
-
-def _scaled(values, L):
-    """{key: value * L} as ints, for exact values whose denominators divide L."""
-    return {k: q.numerator * (L // q.denominator) for k, q in values.items()}
 
 
 def build_latency_lp(inst):
@@ -690,10 +689,9 @@ class _LatencyShape:
         full variable set.  start is this shape's started solver; a copy
         with inst's distance rows as cut rows is made feasible while its
         objective is still zero, then priced with inst's weights."""
-        weights = {j: inst.weight(v) for v, j in self.lv.items()}
-        L = common_denominator(weights.values())
+        weights, L = over_lcm(map(inst.weight, self.lv))
         costs = [0] * len(self.names)
-        for j, c in _scaled(weights, L).items():
+        for j, c in zip(self.lv.values(), weights):
             costs[j] = c
         d = inst.d
         distance = [(self.distance_row(v, d), ZERO) for v in self.lv]
@@ -746,7 +744,7 @@ def normalize_latencies(sol, inst):
     Returns (floored_solution, sigma) where sigma is the factor that, once
     distances are measured in units of 1/sigma, makes the smallest latency
     exactly 1 and the largest at most n^2.  The floored objective exceeds
-    the original by a factor of at most 1 + 1/n.
+    the original by at most a factor 1 + 1/n, checked by solve_latency.
     """
     n, t = sol.n, sol.t
     for v, val in sol.ell.items():
@@ -756,8 +754,6 @@ def normalize_latencies(sol, inst):
     floor = top / (n * n)
     ell2 = {v: max(val, floor) for v, val in sol.ell.items()}
     objective2 = sum((inst.weight(v) * val for v, val in ell2.items()), ZERO)
-    if objective2 > (ONE + Fraction(1, n)) * sol.objective:
-        raise InvariantError("latency floor rule exceeded its growth bound")
     floored = replace(sol, ell=ell2, objective=objective2)
     sigma = ONE / min(ell2.values())
     return floored, sigma

@@ -15,7 +15,7 @@ from itertools import chain
 from math import gcd
 
 from .errors import InfeasibleError, InputError, require_count
-from .rational import as_fraction, common_denominator, scaled_matrix, to_json
+from .rational import as_fraction, over_lcm, scaled_matrix, to_json
 
 _ARRAY = (list, tuple)  # what JSON arrays load as; a str or dict is not one
 
@@ -128,32 +128,25 @@ def metric_closure(n, arcs, s, t, weights=None):
 
     Every ordered pair must be connected; an unreachable pair raises
     InfeasibleError naming the pair.  Floyd-Warshall runs on the arc
-    costs scaled to ints by the lcm L of their denominators, and the
-    distances come back as Fraction(dist, L).
+    costs as ints over the lcm L of their denominators (over_lcm), and
+    the distances come back as Fraction(dist, L).
     The instance's scaled value is those ints over L, each divided by the
     gcd g of L and every distance: the lcm of the distances' own
     denominators is L / g, so it equals scaled_matrix(d).
     """
     if require_count(n, "n") < 2:
         raise InputError("metric_closure needs n >= 2")
-    exact = {}
     nodes = range(n)
-    for (u, v), w in arcs.items():
+    for u, v in arcs:
         if u not in nodes or v not in nodes:
             raise InputError(f"arc ({u}, {v}) has an endpoint outside 0..{n - 1}")
-        if u == v:
-            continue
-        if type(w) is not int:
-            w = as_fraction(w)
+    arc_weights = [(arc, w) for arc, w in arcs.items() if arc[0] != arc[1]]
+    costs, L = over_lcm(w for _, w in arc_weights)
+    dist = [[0 if u == v else None for v in range(n)] for u in range(n)]  # None: no path yet
+    for ((u, v), _), w in zip(arc_weights, costs):
         if w < 0:
             raise InputError(f"negative arc weight on ({u}, {v})")
-        exact[(u, v)] = w
-    L = common_denominator(exact.values())
-    dist = [[None] * n for _ in range(n)]  # None = no path found yet
-    for u in range(n):
-        dist[u][u] = 0
-    for (u, v), w in exact.items():
-        dist[u][v] = w.numerator * (L // w.denominator)
+        dist[u][v] = w
     for k in range(n):
         dk = dist[k]
         for u in range(n):

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import SizeLimitError, require_count
-from .rational import common_denominator
+from .rational import over_lcm
 
 ATSPP_CAP = 18
 LATENCY_CAP = 16
@@ -105,9 +105,7 @@ def exact_latency(inst):
         raise SizeLimitError(f"exact_latency capped at n <= {LATENCY_CAP}")
     s, t = inst.s, inst.t
     interior = [v for v in range(inst.n) if v not in (s, t)]
-    w = inst.node_weights()
-    W = common_denominator(w)
-    w = [x.numerator * (W // x.denominator) for x in w]
+    w, W = over_lcm(inst.node_weights())
     # pending[mask]: weight still waiting once the interior subset mask is visited
     pending = [w[t] + sum(w[v] for v in interior)]
     for mask in range(1, 1 << len(interior)):

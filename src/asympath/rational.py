@@ -47,21 +47,36 @@ def to_json(obj):
     return obj
 
 
-def common_denominator(values):
-    """Least common multiple of the denominators of exact values.
+def _exact(values):
+    """values as a list of ints and Fractions, each read as as_fraction reads it."""
+    return [x if type(x) is Fraction or type(x) is int else as_fraction(x) for x in values]
 
-    Multiplying each value x by it gives the integer
-    x.numerator * (L // x.denominator); an exact int has denominator 1,
-    and a float or a bool raises TypeError.
-    """
-    return lcm(1, *(1 if type(x) is int else as_fraction(x).denominator for x in values))
+
+def over(values, L):
+    """Exact values times L as ints, for an L that every denominator divides."""
+    return [x.numerator * (L // x.denominator) for x in _exact(values)]
+
+
+def over_lcm(values):
+    """(ints, L): exact values as int numerators over the lcm L of their
+    denominators.  An int or a Fraction is taken as it is and a "p/q"
+    string as the rational it names; a float or a bool raises TypeError,
+    a zero denominator InputError."""
+    values = _exact(values)
+    L = lcm(*[x.denominator for x in values])
+    return [x.numerator * (L // x.denominator) for x in values], L
+
+
+def common_denominator(values):
+    """Least common multiple of the denominators of exact values."""
+    return lcm(*[x.denominator for x in _exact(values)])
 
 
 def scaled_matrix(rows):
     """A matrix of exact values as ints over the lcm L of their
     denominators: returns (int rows as tuples, L)."""
     L = common_denominator(x for row in rows for x in row)
-    return tuple(tuple(x.numerator * (L // x.denominator) for x in row) for row in rows), L
+    return tuple(tuple(over(row, L)) for row in rows), L
 
 
 def format_rational(value):

@@ -3,13 +3,14 @@ and "p/q" strings are taken as the exact rationals they name.  Nodes, arcs
 and weight lists that do not fit the instance, and path counts that are not
 ints of at least 1, raise InputError."""
 
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
 
 from asympath import atspp, cli, cover, latency, lp, metric, oracle, rational
 from asympath.errors import InputError
-from asympath.graphs import ArcFlow, max_flow_min_cut
+from asympath.graphs import ArcFlow, FlowNetwork, decompose_flow, max_flow_min_cut
 from asympath.metric import MetricInstance, gen_random
 from asympath.simplex import LpModel, SimplexSolver
 
@@ -43,6 +44,11 @@ def _arc_add(v):
     return f
 
 
+def _network(v):
+    net = FlowNetwork({(0, 1): v, (1, 2): F(1, 4)})
+    return net.scale, net.capacity
+
+
 def _cut_rhs(v):
     m = _model()
     m.add_ge({0: 1}, 0)
@@ -68,6 +74,10 @@ ENTRY_POINTS = {
     "cover.strengthen_fractional_cover": lambda v: cover.strengthen_fractional_cover(
         ArcFlow.from_paths([PATH]), v, INST, range(INST.n)),
     "graphs.max_flow_min_cut": lambda v: max_flow_min_cut({(0, 1): v, (1, 2): F(1, 4)}, 0, 2),
+    "graphs.FlowNetwork": _network,
+    "graphs.decompose_flow": lambda v: decompose_flow(Counter({(0, 1): v, (1, 2): v}), 0, 2),
+    "metric.metric_closure": lambda v: metric.metric_closure(
+        3, {(0, 1): v, (1, 2): 1, (2, 0): F(1, 4)}, 0, 2).d,
     "MetricInstance.d": lambda v: MetricInstance(n=2, s=0, t=1, d=((0, v), (v, 0))),
     "MetricInstance.weights": lambda v: MetricInstance(
         n=2, s=0, t=1, d=((0, 1), (1, 0)), weights=(v, 1)),
@@ -133,6 +143,8 @@ def test_exact_value_is_accepted(entry, value):
     lambda: atspp.run_cover_loop(INST, 1, 2.0),
     lambda: atspp.run_cover_loop(INST, 1, True),
     lambda: atspp.run_cover_loop(INST, 0, 3),
+    # True == 1, but it names no node set
+    lambda: lp.flow_alpha_violations(True, 0, 1, ArcFlow.from_paths([[0, 1]]), 1),
 ], ids=["cover-node", "induced-node", "k-person-k", "k-person-bool-k", "cover-float-k",
         "multipath-bool-k", "solve-k-person-float-k", "closure-negative-node",
         "closure-node-past-n", "closure-one-node", "closure-negative-arc", "bad-gap-small-d",
@@ -143,7 +155,7 @@ def test_exact_value_is_accepted(entry, value):
         "gap-report-float-seed", "gap-report-string-seed", "induced-bool-node",
         "cover-bool-node", "latency-bool-node", "induced-float-node", "cover-float-node",
         "latency-float-node", "cover-loop-negative-iterations", "cover-loop-float-iterations",
-        "cover-loop-bool-iterations", "cover-loop-zero-k"])
+        "cover-loop-bool-iterations", "cover-loop-zero-k", "alpha-violations-bool-nodes"])
 def test_misfit_argument_raises_input_error(call):
     with pytest.raises(InputError) as exc:
         call()

@@ -185,3 +185,16 @@ def test_weighted_bookkeeping_is_cross_checked(monkeypatch):
                         lambda inst, order: real(inst, order) + 1)
     with pytest.raises(InvariantError, match="latency bookkeeping mismatch"):
         latency.solve_latency(pipeline_instance(5, 0, 7))
+
+
+def test_normalization_growth_is_checked(monkeypatch):
+    # a floored objective past (1 + 1/n) times the LP optimum
+    real = latency.normalize_latencies
+
+    def inflated(sol, inst):
+        floored, sigma = real(sol, inst)
+        return replace(floored, objective=2 * floored.objective), sigma
+
+    monkeypatch.setattr(latency, "normalize_latencies", inflated)
+    with pytest.raises(InvariantError, match="normalization-growth"):
+        latency.solve_latency(pipeline_instance(5, 0, 7))

@@ -12,7 +12,7 @@ from asympath import lp, metric, oracle
 from asympath.errors import DegenerateLatencyError, InputError, InvariantError
 from asympath.graphs import ArcFlow
 from asympath.rational import to_json
-from asympath.simplex import LpModel, SimplexSolver, simplex_solve
+from asympath.simplex import INFEASIBLE, LpModel, LpSolution, SimplexSolver, simplex_solve
 from latency_reference import (
     build_full_latency_lp,
     order_distance_violations,
@@ -43,6 +43,11 @@ class TestCutRelaxation:
             lp.solve_lp_alpha(inst, 0)
         with pytest.raises(InputError):
             lp.solve_lp_alpha(inst, F(3, 2))
+        # the flow check refuses the requirements the solver refuses
+        path = ArcFlow.from_paths([[0, 1, 2, 3]])
+        for alpha in (0, F(3, 2)):
+            with pytest.raises(InputError, match=re.escape("alpha must lie in (0, 1]")):
+                lp.flow_alpha_violations(4, 0, 3, path, alpha)
 
     def test_bad_gap_half_requirement_stays_small(self):
         for D in (12, 50, 1000):
@@ -117,6 +122,20 @@ class TestCuttingPlanes:
             lp._cutting_planes(solver, lambda sol: [(next(keys), {x: 1}, 1)], 2, "toy LP")
         # the cap is 10 n^2 separation rounds, each adding one row
         assert next(keys) == 40
+
+    def test_infeasible_first_solve_raises(self):
+        class Infeasible:
+            def solve(self):
+                return LpSolution(INFEASIBLE, {}, None)
+
+        with pytest.raises(InvariantError, match="toy LP reported infeasible"):
+            lp._cutting_planes(Infeasible(), lambda sol: [], 1, "toy LP")
+
+    def test_infeasible_cut_raises(self):
+        solver, x = self.solver()
+        # -x >= 0 against x >= 1
+        with pytest.raises(InvariantError, match="cut rows made the toy LP infeasible"):
+            lp._cutting_planes(solver, lambda sol: [("x <= 0", {x: -1}, 0)], 1, "toy LP")
 
 
 # -- LP(alpha) from a shared phase-1 start -------------------------------------
@@ -262,9 +281,11 @@ CERTIFICATE_FAULTS = [
     # x0 <= 3 with x0 basic prices the row at y = 1 > 0
     ([("<=", {0: F(1)}, F(3))], {0: 0}, [3, 0], 3, "wrong sign"),
     (TWO_ROWS, {0: 0, 1: 0}, [1, 1], 2, "not square"),
+    # x0 and row 0's slack basic leave row 1 tight, and row 1 has no x0
+    (TWO_ROWS, {0: 0, 1: 2}, [1, 1], 2, "singular"),
 ]
 FAULT_IDS = ["negative-x", "infeasible-x", "cost-of-x", "dual-value", "dual-sign",
-             "repeated-column"]
+             "repeated-column", "tight-row-without-column"]
 
 
 def _thirds(rows, basis, x, value, fault):
