@@ -80,6 +80,15 @@ def run_cover_loop(inst, k, iterations):
     each active node must equal iterations minus its label.  A round whose
     W equals the last covered W reuses that cover, which is optimal for it;
     W only shrinks, so no earlier W comes back.
+
+    decompose_flow peels cycles first, so a round that peels none had an
+    acyclic support, and leaves W, H and the labels as they were.  Every
+    later round then adds the same cover to the same support and peels no
+    cycle either, and decompose_flow reads only the arc multiset, so the
+    last round's paths are one decomposition of the accumulated arcs plus
+    the cover once per round left.  The loop makes that one decomposition
+    and records the remaining rounds' cover costs, trace entries and
+    checks without decomposing again.
     """
     require_count(k, "k")
     require_count(iterations, "iterations")
@@ -87,6 +96,7 @@ def run_cover_loop(inst, k, iterations):
     log_n = ceil_log2_int(n)
     state = CoverLoopState(W=set(range(n)), labels=[0] * n, F=[], H=Counter())
     covered = None  # the W that cover and cover_arcs were solved for
+    settled = False  # a round peeled no cycle, so state.F is already final
 
     for it in range(iterations):
         state.iteration = it + 1
@@ -95,8 +105,23 @@ def run_cover_loop(inst, k, iterations):
             cover_arcs = cover.arcs()
             covered = set(state.W)
         state.cover_costs.append(cover.cost)
+        entry = {
+            "iteration": it + 1,
+            "W": sorted(state.W),
+            "cover_cost": cover.cost,
+            "components": [],
+        }
+        if settled:
+            _account_nodes(state, entry, n)
+            continue
 
-        decomp = decompose_flow(state.arc_multiset() + cover_arcs, s, t)
+        arcs = state.arc_multiset()
+        decomp = decompose_flow(arcs + cover_arcs, s, t)
+        rounds_left = iterations - it  # this round included
+        if not decomp.cycles and rounds_left > 1:
+            settled = True
+            decomp = decompose_flow(
+                arcs + Counter({arc: c * rounds_left for arc, c in cover_arcs.items()}), s, t)
 
         new_paths = []
         for p, amt in decomp.paths:
@@ -108,13 +133,6 @@ def run_cover_loop(inst, k, iterations):
             for arc in zip(cyc, cyc[1:] + cyc[:1]):
                 cycle_arcs[arc] += int(amt)
         state.F = new_paths
-
-        entry = {
-            "iteration": it + 1,
-            "W": sorted(state.W),
-            "cover_cost": cover.cost,
-            "components": [],
-        }
 
         for comp_nodes, comp in weak_components(cycle_arcs):
             indeg = Counter()
@@ -145,14 +163,7 @@ def run_cover_loop(inst, k, iterations):
                 "gain": indeg[rep],
             })
 
-        touched = set()
-        for (u, v), c in state.H.items():
-            if c:
-                touched.update((u, v))
-        state.check("nodes-accounted", state.W | touched == set(range(n)),
-                    f"iteration {it + 1}")
-        entry["labels"] = {v: l for v, l in enumerate(state.labels) if l}
-        state.trace.append(entry)
+        _account_nodes(state, entry, n)
 
     for v in sorted(state.W):
         if v in (s, t):
@@ -162,6 +173,20 @@ def run_cover_loop(inst, k, iterations):
                     f"{through} paths through {v}, "
                     f"label {state.labels[v]} of {iterations}")
     return state
+
+
+def _account_nodes(state, entry, n):
+    """Check that each of the n nodes is active or inside the contracted
+    arcs, then close the round: its labels join entry, and entry the
+    trace."""
+    touched = set()
+    for (u, v), c in state.H.items():
+        if c:
+            touched.update((u, v))
+    state.check("nodes-accounted", state.W | touched == set(range(n)),
+                f"iteration {entry['iteration']}")
+    entry["labels"] = {v: l for v, l in enumerate(state.labels) if l}
+    state.trace.append(entry)
 
 
 def _splice_components(paths, state):

@@ -142,9 +142,10 @@ def _hamiltonian_path(flow, inst):
 def gap_report_rows(count, nmin, nmax, seed, max_weight=100):
     """One atspp row per instance; all quantities except ms are exact and
     reproducible for a given seed.  Up to oracle.ATSPP_CAP, opt is the
-    certified LP(1) optimum when its flow is one Hamiltonian s-t path
-    (every such path is LP(1)-feasible, so none is cheaper), and
-    exact_atspp's value otherwise."""
+    certified LP(1) optimum when its flow is one Hamiltonian s-t path or
+    solve_atspp's path costs no more (every such path is LP(1)-feasible,
+    so none is cheaper), and exact_atspp's value otherwise, searched
+    under the bound of LP(1)'s reduced costs and solve_atspp's value."""
     for value, name in ((count, "count"), (nmin, "nmin"), (nmax, "nmax")):
         require_count(value, name)
     if isinstance(seed, bool) or not isinstance(seed, int):
@@ -159,13 +160,14 @@ def gap_report_rows(count, nmin, nmax, seed, max_weight=100):
         t0 = time.perf_counter()
         hp, state = atspp_mod.solve_atspp(inst)
         value = hp.cost
-        lp_bound, flow = lp.solve_lp_alpha(inst, 1)
+        optimum = lp.solve_lp_alpha(inst, 1)
+        lp_bound, flow = optimum
         if n > oracle.ATSPP_CAP:
             opt = None
-        elif _hamiltonian_path(flow, inst):
+        elif value == lp_bound or _hamiltonian_path(flow, inst):
             opt = lp_bound
         else:
-            opt = oracle.exact_atspp(inst).value
+            opt = oracle.exact_atspp(inst, (lp_bound, value, optimum.reduced_costs)).value
         ms = int((time.perf_counter() - t0) * 1000)
         passed = sum(1 for c in state.checks if c["pass"])
         rows.append({

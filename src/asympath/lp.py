@@ -13,7 +13,7 @@ certificate read from the final basis, on ints.
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from heapq import heapify, heappop, heappush
 from itertools import chain, combinations, permutations
 from math import gcd
@@ -21,7 +21,7 @@ import operator
 
 from .errors import DegenerateLatencyError, InputError, InvariantError
 from .graphs import ArcFlow, FlowNetwork, max_flow_min_cut
-from .rational import as_fraction, common_denominator, over, over_lcm, to_json
+from .rational import as_fraction, over_lcm, to_json
 from .simplex import OPTIMAL, LpModel, SimplexSolver
 
 ZERO = Fraction(0)
@@ -140,12 +140,38 @@ def _alpha_model(n, s, t, alpha):
     return model, _AlphaShape(xv, [_int_row(row) for row in model.constraints])
 
 
+class AlphaOptimum(tuple):
+    """What solve_lp_alpha returns: the pair (value, flow), plus the
+    reduced costs c_a - y . A_a of the dual y its certificate checked.
+
+    Every Hamiltonian s-t path P meets every row of LP(alpha) (alpha <= 1)
+    with its unit flow, so by weak duality its cost is at least
+    value + the sum of reduced_costs over P's arcs.  The reduced costs
+    stay the certificate's int list over one denominator until
+    reduced_costs is first read."""
+
+    def __new__(cls, value, flow, columns, reduced, den):
+        self = super().__new__(cls, (value, flow))
+        self._certificate = columns, reduced, den
+        return self
+
+    def __getnewargs__(self):  # so that copy and pickle rebuild it
+        return (*self, *self._certificate)
+
+    @cached_property
+    def reduced_costs(self):
+        """{arc: reduced cost} over every arc, each a nonnegative Fraction."""
+        columns, reduced, den = self._certificate
+        return {arc: Fraction(reduced[j], den) for arc, j in columns.items()}
+
+
 def solve_lp_alpha(inst, alpha):
     """Exact optimum of the cut relaxation with requirement alpha in (0, 1].
 
     Starts from degree constraints plus singleton cuts and separates the
     remaining cut constraints with max-flow until none are violated.
-    Returns (value, flow) where flow is an optimal fractional solution.
+    Returns (value, flow) where flow is an optimal fractional solution, as
+    an AlphaOptimum that also hands out its certificate's reduced costs.
     """
     alpha = _requirement(alpha)
     n, s = inst.n, inst.s
@@ -166,10 +192,11 @@ def solve_lp_alpha(inst, alpha):
     sol, _ = _cutting_planes(solver, separate, n, "cut relaxation")
     x = list(sol.values.values())
     # the shape's rows in their int form, then the cut rows; under the
-    # costs scaled by L, the optimum is L times the value
+    # costs scaled by L, the optimum is L times the value, and the
+    # reduced costs are L times the distances' own
     rows = shape.rows + solver.rows()[len(shape.rows):]
-    _certify(rows, costs, solver.basis(), x, sol.objective * L)
-    return sol.objective, _flow(x, xv)
+    reduced, R = _certify(rows, costs, solver.basis(), x, sol.objective * L)
+    return AlphaOptimum(sol.objective, _flow(x, xv), xv, reduced, R * L)
 
 
 # for each sense, the test of (lhs, rhs) that is true when the row fails
@@ -198,7 +225,8 @@ def _certify(rows, costs, basis, x, value):
     the sign its sense asks (>= 0 on >=, <= 0 on <=), every reduced cost
     c_j - y . A_j must be nonnegative and b . y == value, so by weak
     duality no x is cheaper.  Reads nothing but its arguments, and shares
-    no code with the tableau.
+    no code with the tableau.  Returns (reduced, R): the reduced costs as
+    int numerators over the one denominator R.
 
     Every check runs on ints: each row over its own lcm (_int_row, so a
     caller may hand in rows it converted once), x over the lcm X of its
@@ -246,10 +274,12 @@ def _certify(rows, costs, basis, x, value):
         if yr:
             for j, a in rows[r][1].items():
                 ya[j] += a * yr
-    if any(c * D < v for c, v in zip(costs, ya)):
+    reduced = [c * D - v for c, v in zip(costs, ya)]
+    if any(r < 0 for r in reduced):
         raise InvariantError("certificate: a reduced cost is negative")
     if sum(rows[r][2] * yr for r, yr in y.items()) * value.denominator != value.numerator * D * C:
         raise InvariantError("certificate: b . y differs from the value")
+    return reduced, D * C
 
 
 def _solve_square(eqs):
@@ -423,10 +453,13 @@ class LatencyLpSolution:
         """
         bad = []
         n, s, t = self.n, self.s, self.t
-        L = common_denominator(chain(
+        # every value over one L, then handed back out in the same order
+        ints, L = over_lcm(chain(
             self.x.values(), self.x3.values(), self.ell.values(),
             (amt for fv in self.flows.values() for _, amt in fv.items())))
-        x, x3, ell = (dict(zip(m, over(m.values(), L))) for m in (self.x, self.x3, self.ell))
+        ints = iter(ints)
+        x, x3, ell = ({k: next(ints) for k in m} for m in (self.x, self.x3, self.ell))
+        flows = {v: [(arc, next(ints)) for arc, _ in fv.items()] for v, fv in self.flows.items()}
         d, D = inst.scaled
 
         for (u, v), val in x.items():
@@ -441,8 +474,7 @@ class LatencyLpSolution:
                 continue
             # out-flow, in-flow and cost (over L * D) of the s-v flow
             out, inn, cost = [0] * n, [0] * n, 0
-            flow = self.flows[v]
-            for (a, b), amt in zip(flow.arcs(), over((amt for _, amt in flow.items()), L)):
+            for (a, b), amt in flows[v]:
                 out[a] += amt
                 inn[b] += amt
                 cost += amt * d[a][b]

@@ -13,6 +13,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import chain
 from math import gcd
+from operator import itemgetter
 
 from .errors import InfeasibleError, InputError, require_count
 from .rational import as_fraction, over_lcm, scaled_matrix, to_json
@@ -127,20 +128,20 @@ def metric_closure(n, arcs, s, t, weights=None):
     """Shortest-path metric of a weighted digraph given as {(u,v): cost}.
 
     Every ordered pair must be connected; an unreachable pair raises
-    InfeasibleError naming the pair.  Floyd-Warshall runs on the arc
-    costs as ints over the lcm L of their denominators (over_lcm), and
-    the distances come back as Fraction(dist, L).
-    The instance's scaled value is those ints over L, each divided by the
-    gcd g of L and every distance: the lcm of the distances' own
-    denominators is L / g, so it equals scaled_matrix(d).
+    InfeasibleError naming the pair, and an arc endpoint that is not an
+    int (a bool is not) in 0..n-1 InputError.  Floyd-Warshall runs on the
+    arc costs as ints over the lcm L of their denominators (over_lcm),
+    and the instance's scaled value is the distances as those ints over
+    L in lowest terms (_lowest_terms), so it equals scaled_matrix(d).
     """
     if require_count(n, "n") < 2:
         raise InputError("metric_closure needs n >= 2")
-    nodes = range(n)
-    for u, v in arcs:
-        if u not in nodes or v not in nodes:
-            raise InputError(f"arc ({u}, {v}) has an endpoint outside 0..{n - 1}")
-    arc_weights = [(arc, w) for arc, w in arcs.items() if arc[0] != arc[1]]
+    arc_weights = []
+    for (u, v), w in arcs.items():
+        if type(u) is not int or type(v) is not int or not (0 <= u < n and 0 <= v < n):
+            raise InputError(f"arc ({u!r}, {v!r}) has an endpoint that is no int in 0..{n - 1}")
+        if u != v:
+            arc_weights.append(((u, v), w))
     costs, L = over_lcm(w for _, w in arc_weights)
     dist = [[0 if u == v else None for v in range(n)] for u in range(n)]  # None: no path yet
     for ((u, v), _), w in zip(arc_weights, costs):
@@ -166,9 +167,7 @@ def metric_closure(n, arcs, s, t, weights=None):
         for v in range(n):
             if dist[u][v] is None:
                 raise InfeasibleError(f"node {v} is unreachable from node {u}")
-    g = gcd(L, *chain.from_iterable(dist))
-    rows = tuple(tuple(x // g for x in row) for row in dist)
-    L //= g
+    rows, L = _lowest_terms(dist, L)
     inst = MetricInstance(
         n=n,
         s=s,
@@ -178,6 +177,16 @@ def metric_closure(n, arcs, s, t, weights=None):
     )
     inst.__dict__["scaled"] = rows, L  # where the cached property keeps it
     return inst
+
+
+def _lowest_terms(rows, L):
+    """(rows, L) for a matrix of ints over L, each divided by the gcd g of L
+    and every entry: the lcm of the entries' own denominators is L / g, so
+    this is scaled_matrix of the rationals they stand for."""
+    g = gcd(L, *chain.from_iterable(rows))
+    if g > 1:
+        rows = [[x // g for x in row] for row in rows]
+    return tuple(map(tuple, rows)), L // g
 
 
 def gen_random(n, seed, max_weight):
@@ -237,7 +246,8 @@ def induced_subinstance(inst, W, s2, t2):
 
     Returns (sub_instance, mapping) where mapping[i] is the original index
     of sub-instance node i.  Distances are already metric, so no
-    recomputation happens.
+    recomputation happens, and the sub-instance's scaled value is sliced
+    from inst.scaled and brought to lowest terms (_lowest_terms).
     """
     W = inst.node_set(W)
     if s2 not in W or t2 not in W:
@@ -251,6 +261,9 @@ def induced_subinstance(inst, W, s2, t2):
     if inst.weights is not None:
         weights = tuple(inst.weights[u] for u in mapping)
     sub = MetricInstance(n=len(mapping), s=index[s2], t=index[t2], d=d, weights=weights)
+    rows, L = inst.scaled
+    pick = itemgetter(*mapping)  # W holds s2 != t2, so pick returns a tuple
+    sub.__dict__["scaled"] = _lowest_terms([pick(rows[u]) for u in mapping], L)
     return sub, mapping
 
 

@@ -3,7 +3,7 @@
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SizeLimitError, require_count
+from .errors import InputError, InvariantError, SizeLimitError, require_count
 from .rational import over_lcm
 
 ATSPP_CAP = 18
@@ -83,14 +83,146 @@ def _subset_dp(d, s, t, interior, mult):
     return best, order
 
 
-def exact_atspp(inst):
-    """Cheapest Hamiltonian s-t path by subset dynamic programming."""
+def _sparse_dp(d, s, t, interior, arcs):
+    """_subset_dp with mult 1 over the arcs {(u, v): int cost} alone:
+    (value, order), or None when no Hamiltonian s-t path keeps to them.
+
+    Layer k maps each interior subset mask of k + 1 nodes that some route
+    from s visits exactly to {i: cheapest such route ending at
+    interior[i]}; each route extends along its end's successor list.  The
+    order is rebuilt by _subset_dp's rule: the first cheapest end, then
+    each step the lowest i in the previous mask whose route extends to
+    the stored value.
+    """
+    m = len(interior)
+    if m == 0:
+        return (arcs[(s, t)], [s, t]) if (s, t) in arcs else None
+    index = {v: i for i, v in enumerate(interior)}
+    succ = [[] for _ in range(m)]
+    layer, ends, inner = {}, {}, {}
+    for (u, v), c in arcs.items():
+        if u == s:
+            layer[1 << index[v]] = {index[v]: c}
+        elif v == t:
+            ends[index[u]] = c
+        else:
+            i, j = index[u], index[v]
+            succ[i].append((j, 1 << j, c))
+            inner[(i, j)] = c
+    layers = [layer]
+    for _ in range(m - 1):
+        nxt = {}
+        for mask, routes in layer.items():
+            for i, value in routes.items():
+                for j, bit, c in succ[i]:
+                    if mask & bit:
+                        continue
+                    cand = value + c
+                    tgt = nxt.get(mask | bit)
+                    if tgt is None:
+                        nxt[mask | bit] = {j: cand}
+                    elif j not in tgt or cand < tgt[j]:
+                        tgt[j] = cand
+        layer = nxt
+        layers.append(layer)
+    routes = layer.get((1 << m) - 1, {})
+    best = None
+    for i in sorted(routes.keys() & ends.keys()):
+        cand = routes[i] + ends[i]
+        if best is None or cand < best:
+            best, j = cand, i
+    if best is None:
+        return None
+    order, mask = [t], (1 << m) - 1
+    for k in range(m - 1, 0, -1):
+        order.append(interior[j])
+        goal = layers[k][mask][j]
+        mask ^= 1 << j
+        prev = layers[k - 1][mask]
+        j = next(i for i in sorted(prev)
+                 if (i, j) in inner and prev[i] + inner[(i, j)] == goal)
+    order += [interior[j], s]
+    order.reverse()
+    return best, order
+
+
+# the guided search's first tau is (upper - lower) / _TAU_SHARE
+_TAU_SHARE = 16
+
+
+def _guided_dp(d, L, s, t, interior, bound):
+    """The cheapest Hamiltonian s-t path under a certified bound, searched
+    over the arcs whose reduced cost is at most tau alone.
+
+    bound is (lower, upper, reduced): every Hamiltonian s-t path P costs
+    at least lower plus the reduced costs of its arcs, and upper is no
+    less than the optimum.  If the best path V over the arcs with reduced
+    cost <= tau costs at most lower + tau, a path through any other arc
+    costs more, so V is optimal, and every optimal path keeps to those
+    arcs, so V's order is the one _subset_dp rebuilds.  tau starts at
+    (upper - lower) / _TAU_SHARE and doubles; at upper - lower every path
+    of cost at most upper keeps to the arcs, so the search ends there.
+    """
+    lower, upper, reduced = bound
+    if interior:
+        needed = [(s, v) for v in interior] + [(v, t) for v in interior]
+        needed += [(u, v) for u in interior for v in interior if u != v]
+    else:
+        needed = [(s, t)]
+    try:
+        costs = [reduced[arc] for arc in needed]
+    except KeyError as exc:
+        raise InputError(f"bound: no reduced cost for arc {exc.args[0]}") from None
+    (lo, up, *costs), M = over_lcm([lower, upper, *costs])
+    if lo > up:
+        raise InputError(f"bound: lower {lower} exceeds upper {upper}")
+    if min(costs) < 0:
+        raise InputError("bound: a reduced cost is negative")
+    # lower, the reduced costs and tau over q M, path costs over L: the
+    # first tau, up - lo over q M, is (upper - lower) / q
+    q, gap = _TAU_SHARE, up - lo
+    lo *= q
+    rc = {arc: q * r for arc, r in zip(needed, costs)}
+    tau, kept, found = gap, None, None
+    while True:
+        allowed = {arc: d[arc[0]][arc[1]] for arc, r in rc.items() if r <= tau}
+        if len(allowed) != kept:  # else the last search's answer stands
+            kept, found = len(allowed), _sparse_dp(d, s, t, interior, allowed)
+        if found is not None and q * found[0] * M <= (lo + tau) * L:
+            value, order = found
+            path_rc = sum(rc[arc] for arc in zip(order, order[1:]))
+            if q * value * M < (lo + path_rc) * L:
+                raise InvariantError(f"bound: path {order} costs less than lower "
+                                     "plus its reduced costs")
+            return found
+        if tau >= q * gap:
+            raise InputError("bound: no Hamiltonian path over the arcs its reduced "
+                             "costs admit costs at most upper")
+        tau *= 2
+
+
+def exact_atspp(inst, bound=None):
+    """Cheapest Hamiltonian s-t path by subset dynamic programming.
+
+    bound, when given, is a certified (lower, upper, reduced) that the
+    search reads to skip arcs (see _guided_dp): lower a lower bound with
+    reduced[(u, v)] >= 0 for every arc a Hamiltonian s-t path may use,
+    such that every such path P costs at least lower plus the reduced
+    costs of P's arcs (AlphaOptimum's value and reduced_costs are one), and
+    upper at least the optimum (a path's cost).  The value and order are
+    the ones the search without a bound gives.  A missing or negative
+    reduced cost, lower > upper, or an upper below every path the reduced
+    costs admit raises InputError; a float or a bool raises TypeError.
+    """
     if inst.n > ATSPP_CAP:
         raise SizeLimitError(f"exact_atspp capped at n <= {ATSPP_CAP}")
     s, t = inst.s, inst.t
     interior = [v for v in range(inst.n) if v not in (s, t)]
     d, L = inst.scaled
-    value, order = _subset_dp(d, s, t, interior, [1] * (1 << len(interior)))
+    if bound is None:
+        value, order = _subset_dp(d, s, t, interior, [1] * (1 << len(interior)))
+    else:
+        value, order = _guided_dp(d, L, s, t, interior, bound)
     return ExactResult(value=Fraction(value, L), order=order)
 
 

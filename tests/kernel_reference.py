@@ -13,20 +13,27 @@ min_k_path_cycle_cover is the earlier cover walk, which drains per-node
 sorted out-arc lists; it calls the int matching kernel (int_matching), as
 the library does, and tests pin the successor-map walk to its paths,
 cycles and cost.
+
+run_cover_loop is the cover loop that decomposes the accumulated flow in
+every round; tests pin the loop that stops decomposing once a round peels
+no cycle to its final state, trace and checks.
 """
 
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 
+from asympath.atspp import CoverLoopState
 from asympath.cover import KPathCycleCover
+from asympath.cover import min_k_path_cycle_cover as atspp_cover
 from asympath.errors import (
     ContractError, InfeasibleError, InputError, InvariantError, SizeLimitError, require_count,
 )
-from asympath.graphs import Decomposition, _find_cycle
+from asympath.graphs import Decomposition, _find_cycle, weak_components
+from asympath.graphs import decompose_flow as int_decompose_flow
 from asympath.graphs import min_cost_perfect_matching as int_matching
 from asympath.metric import MetricInstance
 from asympath.oracle import ATSPP_CAP, LATENCY_CAP, ExactResult
-from asympath.rational import as_fraction, common_denominator
+from asympath.rational import as_fraction, ceil_log2_int, common_denominator
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -536,3 +543,99 @@ def min_k_path_cycle_cover(inst, W, k):
     if sum(d[u][v] for u, v in cover.arcs().elements()) != total:
         raise InvariantError("cover cost disagrees with matching cost")
     return cover
+
+
+def run_cover_loop(inst, k, iterations):
+    """atspp.run_cover_loop as it was before it stopped decomposing once
+    a round peels no cycle: every round decomposes the accumulated paths
+    plus the cover.  Returns the final CoverLoopState.
+
+    Asserted each iteration: the cyclic part never touches s or t, every
+    cyclic component has two distinct nodes of in-degree exactly one, no
+    label exceeds ceil(log2 n), and every node stays in the active set or
+    inside the contracted arcs.  At the end, the number of F paths through
+    each active node must equal iterations minus its label.  A round whose
+    W equals the last covered W reuses that cover, which is optimal for it;
+    W only shrinks, so no earlier W comes back.
+    """
+    require_count(k, "k")
+    require_count(iterations, "iterations")
+    n, s, t = inst.n, inst.s, inst.t
+    log_n = ceil_log2_int(n)
+    state = CoverLoopState(W=set(range(n)), labels=[0] * n, F=[], H=Counter())
+    covered = None  # the W that cover and cover_arcs were solved for
+
+    for it in range(iterations):
+        state.iteration = it + 1
+        if state.W != covered:
+            cover = atspp_cover(inst, state.W, k)
+            cover_arcs = cover.arcs()
+            covered = set(state.W)
+        state.cover_costs.append(cover.cost)
+
+        decomp = int_decompose_flow(state.arc_multiset() + cover_arcs, s, t)
+
+        new_paths = []
+        for p, amt in decomp.paths:
+            if amt.denominator != 1:
+                raise InvariantError("integral flow decomposed fractionally", state=state)
+            new_paths.extend([list(p)] * int(amt))
+        cycle_arcs = Counter()
+        for cyc, amt in decomp.cycles:
+            for arc in zip(cyc, cyc[1:] + cyc[:1]):
+                cycle_arcs[arc] += int(amt)
+        state.F = new_paths
+
+        entry = {
+            "iteration": it + 1,
+            "W": sorted(state.W),
+            "cover_cost": cover.cost,
+            "components": [],
+        }
+
+        for comp_nodes, comp in weak_components(cycle_arcs):
+            indeg = Counter()
+            for (_, v), c in comp.items():
+                indeg[v] += c
+            state.check("component-avoids-endpoints",
+                        s not in comp_nodes and t not in comp_nodes,
+                        f"iteration {it + 1}: component {sorted(comp_nodes)}")
+            unit_nodes = sum(1 for u in comp_nodes if indeg[u] == 1)
+            state.check("two-unit-indegree-nodes", unit_nodes >= 2,
+                        f"iteration {it + 1}: component {sorted(comp_nodes)} "
+                        f"has {unit_nodes}")
+            rep = min(
+                comp_nodes,
+                key=lambda u: (state.labels[u] + indeg[u], u),
+            )
+            dropped = comp_nodes - {rep}
+            state.F = [[x for x in p if x not in dropped] for p in state.F]
+            state.W -= dropped
+            state.H.update(comp)
+            state.labels[rep] += indeg[rep]
+            state.check("label-bound", state.labels[rep] <= log_n,
+                        f"iteration {it + 1}: label of {rep} is {state.labels[rep]} "
+                        f"vs {log_n}")
+            entry["components"].append({
+                "nodes": sorted(comp_nodes),
+                "representative": rep,
+                "gain": indeg[rep],
+            })
+
+        touched = set()
+        for (u, v), c in state.H.items():
+            if c:
+                touched.update((u, v))
+        state.check("nodes-accounted", state.W | touched == set(range(n)),
+                    f"iteration {it + 1}")
+        entry["labels"] = {v: l for v, l in enumerate(state.labels) if l}
+        state.trace.append(entry)
+
+    for v in sorted(state.W):
+        if v in (s, t):
+            continue
+        through = sum(1 for p in state.F if v in p)
+        state.check("path-count-balance", through == iterations - state.labels[v],
+                    f"{through} paths through {v}, "
+                    f"label {state.labels[v]} of {iterations}")
+    return state

@@ -9,6 +9,8 @@ from asympath import atspp, lp, metric, oracle
 from asympath.errors import InputError
 from asympath.rational import ceil_log2_int, to_json
 
+import kernel_reference as ref
+
 F = Fraction
 
 
@@ -230,3 +232,28 @@ def test_cover_loop_solves_one_assignment_per_active_set(monkeypatch):
     _, state = atspp.solve_atspp(metric.gen_random(5, seed=1, max_weight=100))
     assert seen == [[0, 1, 2, 3, 4]]
     assert len(state.trace) == 7
+
+
+def test_cover_loop_decomposes_once_settled_as_every_round_would(monkeypatch):
+    """Once a round peels no cycle, the loop decomposes once for the rounds
+    left; its final state, trace, checks and cover costs are those of the
+    loop that decomposes every round (kernel_reference)."""
+    calls = []
+    decompose = atspp.decompose_flow
+    monkeypatch.setattr(atspp, "decompose_flow",
+                        lambda flow, s, t: calls.append(1) or decompose(flow, s, t))
+    rounds = 0
+    for n in range(2, 14):
+        for max_weight in (1, 3, 100):
+            inst = metric.gen_random(n, seed=n + max_weight, max_weight=max_weight)
+            log_n = ceil_log2_int(n)
+            # the round counts of solve_atspp and solve_k_person, (k + 1)
+            # ceil(log2 n) + 1, which agree at k = 1
+            for k in (1, 2, 3):
+                iterations = (k + 1) * log_n + 1
+                state = atspp.run_cover_loop(inst, k, iterations)
+                want = ref.run_cover_loop(inst, k, iterations)
+                assert state.to_jsonable() == want.to_jsonable()
+                assert state.cover_costs == want.cover_costs
+                rounds += iterations
+    assert len(calls) < rounds / 2  # most rounds are settled

@@ -166,6 +166,20 @@ def test_gap_report_readme_example_is_pinned(capsys):
     assert hashlib.sha256(text.encode()).hexdigest()[:16] == "4cb76a1ebac5b036"
 
 
+@pytest.mark.parametrize("argv, digest", [
+    # exact_atspp runs under LP(1)'s reduced costs on three rows of the
+    # first (two with a fractional lp_bound) and on one of the second
+    (["--count", "15", "--nmin", "11", "--nmax", "14", "--seed", "2009"], "9e56f7b47b5dd8fd"),
+    (["--count", "18", "--nmin", "4", "--nmax", "12", "--seed", "726"], "622952517d1a1659"),
+], ids=["seed-2009-n11-14", "seed-726-n4-12"])
+def test_gap_report_guided_rows_are_pinned(capsys, argv, digest):
+    # the CSVs as printed while exact_atspp ran the full subset DP on
+    # every row, pinned by the sha256 of the CSV without ms
+    assert main(["gap-report", *argv]) == 0
+    text = "".join(line.rsplit(",", 1)[0] + "\n" for line in capsys.readouterr().out.splitlines())
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
+
+
 WEIGHTS = (1, 3, 100)  # weights 1 and 3 tie many paths
 
 
@@ -175,8 +189,9 @@ def test_gap_report_opt_is_the_exact_optimum(monkeypatch):
     exact, certify = oracle.exact_atspp, lp._certify
     oracle_calls, certified = [], []
     monkeypatch.setattr(oracle, "exact_atspp",
-                        lambda inst: oracle_calls.append(inst) or exact(inst))
-    monkeypatch.setattr(lp, "_certify", lambda *args: certified.append(certify(*args)))
+                        lambda inst, *bound: oracle_calls.append(inst) or exact(inst, *bound))
+    monkeypatch.setattr(lp, "_certify",
+                        lambda *args: certified.append(certify(*args)) or certified[-1])
     for max_weight in WEIGHTS:
         rows = gap_report_rows(count=9, nmin=4, nmax=12, seed=40, max_weight=max_weight)
         for row in rows:

@@ -81,6 +81,8 @@ ENTRY_POINTS = {
     "MetricInstance.d": lambda v: MetricInstance(n=2, s=0, t=1, d=((0, v), (v, 0))),
     "MetricInstance.weights": lambda v: MetricInstance(
         n=2, s=0, t=1, d=((0, 1), (1, 0)), weights=(v, 1)),
+    "oracle.exact_atspp": lambda v: oracle.exact_atspp(
+        INST, (v, oracle.exact_atspp(INST).value, dict.fromkeys(INST.arcs(), 0))),
     "rational.floor_log2": rational.floor_log2,
     "rational.rational_to_json": rational.rational_to_json,
     "rational.format_rational": rational.format_rational,
@@ -113,6 +115,8 @@ def test_exact_value_is_accepted(entry, value):
     lambda: metric.metric_closure(3, {(0, 1): 5, (1, 2): 5, (2, 0): 5, (0, 5): 1}, 0, 2),
     lambda: metric.metric_closure(1, {}, 0, 0),
     lambda: metric.metric_closure(3, {(0, 1): 5, (1, 2): -1, (2, 0): 5}, 0, 2),
+    lambda: metric.metric_closure(3, {(0, True): 5, (1, 2): 5, (2, 0): 5}, 0, 2),
+    lambda: metric.metric_closure(3, {(0, 1.0): 5, (1, 2): 5, (2, 0): 5}, 0, 2),
     lambda: metric.gen_bad_gap(9),
     # a str or dict has a length and items, but each character would be
     # read as a one-digit rational
@@ -147,7 +151,8 @@ def test_exact_value_is_accepted(entry, value):
     lambda: lp.flow_alpha_violations(True, 0, 1, ArcFlow.from_paths([[0, 1]]), 1),
 ], ids=["cover-node", "induced-node", "k-person-k", "k-person-bool-k", "cover-float-k",
         "multipath-bool-k", "solve-k-person-float-k", "closure-negative-node",
-        "closure-node-past-n", "closure-one-node", "closure-negative-arc", "bad-gap-small-d",
+        "closure-node-past-n", "closure-one-node", "closure-negative-arc",
+        "closure-bool-endpoint", "closure-float-endpoint", "bad-gap-small-d",
         "string-rows", "dict-distances", "string-weights", "short-weights",
         "closure-empty-list-weights", "closure-empty-tuple-weights", "random-bool-max-weight",
         "random-float-max-weight", "random-fractional-max-weight", "random-float-n",

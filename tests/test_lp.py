@@ -268,6 +268,25 @@ def test_certificate_rejects_a_wrong_value_cost_or_basis(monkeypatch, seed):
     assert nonsingular
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_reduced_costs_are_the_final_tableaus(monkeypatch, seed):
+    """solve_lp_alpha hands out the reduced costs of the dual its
+    certificate checked; read from the basis alone, they equal the ones
+    the final tableau holds, and bound every Hamiltonian path's cost."""
+    inst = metric.gen_random(8 + seed, seed=seed, max_weight=100)
+    solver, _ = _certificate_inputs(monkeypatch, inst)
+    optimum = lp.solve_lp_alpha(inst, 1)
+    value, flow = optimum
+    assert (value, flow) == optimum and optimum[1] is flow
+    assert copy.deepcopy(optimum).reduced_costs == optimum.reduced_costs
+    rc = [F(a, solver._obj_den) for a in solver._obj[:inst.n * (inst.n - 1)]]
+    assert list(optimum.reduced_costs.values()) == rc
+    assert list(optimum.reduced_costs) == list(inst.arcs())
+    path = oracle.exact_atspp(inst).order
+    arcs = list(zip(path, path[1:]))
+    assert inst.path_cost(path) >= value + sum(optimum.reduced_costs[a] for a in arcs)
+
+
 # min x0 + x1 subject to x0 + x1 >= 2 and x1 >= 1: the dual is read from the
 # basis {row 0: x0, row 1: its slack (2 + 1)}, y = (1, 0), so b . y = 2
 TWO_ROWS = [(">=", {0: F(1), 1: F(1)}, F(2)), (">=", {1: F(1)}, F(1))]

@@ -2,6 +2,8 @@ from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from asympath import metric
 from asympath.rational import scaled_matrix
@@ -196,6 +198,20 @@ def test_closure_hands_the_instance_its_scaled_distances(make, scale):
     assert "scaled" in vars(inst)  # set by metric_closure, not scaled on first use
     assert inst.scaled == scaled_matrix(inst.d)
     assert inst.scaled[1] == scale
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.data())
+def test_induced_subinstance_inherits_the_scaled_rows(data):
+    n = data.draw(st.integers(2, 7))
+    weight = st.builds(Fraction, st.integers(1, 40), st.sampled_from([1, 2, 3, 4, 6, 12]))
+    arcs = {(u, v): data.draw(weight) for u in range(n) for v in range(n) if u != v}
+    inst = metric.metric_closure(n, arcs, 0, n - 1)
+    s2, t2 = data.draw(st.permutations(range(n)))[:2]
+    W = data.draw(st.sets(st.integers(0, n - 1))) | {s2, t2}
+    sub, _ = metric.induced_subinstance(inst, W, s2, t2)
+    assert "scaled" in vars(sub)  # sliced from inst.scaled, not scaled on first use
+    assert sub.scaled == scaled_matrix(sub.d)
 
 
 def test_json_round_trip_with_fractions():

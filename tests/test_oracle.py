@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from asympath import metric, oracle
-from asympath.errors import SizeLimitError
+from asympath import atspp, lp, metric, oracle
+from asympath.errors import InputError, InvariantError, SizeLimitError
 
 from bruteforce import brute_atspp, brute_k_person, brute_latency
 
@@ -41,6 +41,76 @@ class TestExactAtspp:
         inst = metric.gen_random(19, seed=0, max_weight=5)
         with pytest.raises(SizeLimitError):
             oracle.exact_atspp(inst)
+
+
+def _fractional_closure(n, seed):
+    rng = random.Random(seed)
+    arcs = {(u, v): F(rng.randint(1, 30), rng.choice([1, 2, 3, 6]))
+            for u in range(n) for v in range(n) if u != v}
+    return metric.metric_closure(n, arcs, 0, n - 1)
+
+
+def _certified_bound(inst):
+    """(lower, upper, reduced): LP(1)'s certified value and reduced costs,
+    and solve_atspp's cost."""
+    optimum = lp.solve_lp_alpha(inst, 1)
+    return optimum[0], atspp.solve_atspp(inst)[0].cost, optimum.reduced_costs
+
+
+# weights 1 and 3 tie many paths, and fractional closures have arcs over 6
+GUIDED_SWEEP = [
+    *(metric.gen_random(n, seed=40 * n + w, max_weight=w)
+      for n in range(2, 13) for w in (1, 3, 100)),
+    *(_fractional_closure(n, seed=n) for n in range(3, 11)),
+    *(metric.gen_random(n, seed=n, max_weight=100) for n in (15, 16)),
+]
+
+
+class TestGuidedExactAtspp:
+    def test_equals_the_full_dp(self, monkeypatch):
+        searched, full = [], 0
+        sparse = oracle._sparse_dp
+        monkeypatch.setattr(oracle, "_sparse_dp",
+                            lambda d, s, t, interior, arcs: searched.append(len(arcs))
+                            or sparse(d, s, t, interior, arcs))
+        for inst in GUIDED_SWEEP:
+            res = oracle.exact_atspp(inst, _certified_bound(inst))
+            assert res == oracle.exact_atspp(inst)
+            full += (inst.n - 2) ** 2 + inst.n - 2 + (inst.n == 2)
+        # all searches together kept fewer arcs than one full search reads
+        assert sum(searched) < full
+
+    @pytest.mark.parametrize("fault", ["missing", "negative", "crossed", "upper-too-low"])
+    def test_bad_bound_raises_input_error(self, fault):
+        inst = metric.gen_random(7, seed=2, max_weight=20)
+        lower, upper, reduced = _certified_bound(inst)
+        if fault == "missing":
+            del reduced[(inst.s, 1)]
+        elif fault == "negative":
+            reduced = {**reduced, (1, 2): F(-1, 3)}
+        elif fault == "crossed":
+            lower, upper = upper + 1, upper
+        else:
+            # every arc admitted at once, yet every path costs more than upper
+            lower = upper = 0
+            reduced = dict.fromkeys(reduced, 0)
+        with pytest.raises(InputError) as exc:
+            oracle.exact_atspp(inst, (lower, upper, reduced))
+        assert type(exc.value) is InputError
+
+    def test_a_path_below_its_bound_trips_the_check(self):
+        inst = metric.gen_random(7, seed=2, max_weight=20)
+        opt = oracle.exact_atspp(inst).value
+        zero = dict.fromkeys(inst.arcs(), 0)
+        # a lower bound above the optimum: the first search admits every
+        # arc, and the optimum falls below lower
+        with pytest.raises(InvariantError, match="costs less than lower"):
+            oracle.exact_atspp(inst, (opt + 1, opt + 1, zero))
+        # reduced costs no certificate could give: each arc at opt, so every
+        # path's reduced costs sum to (n - 1) opt, above its cost
+        inflated = dict.fromkeys(inst.arcs(), opt)
+        with pytest.raises(InvariantError, match="costs less than lower"):
+            oracle.exact_atspp(inst, (0, 16 * (inst.n - 1) * opt, inflated))
 
 
 class TestExactLatency:
