@@ -77,9 +77,7 @@ def run_cover_loop(inst, k, iterations):
     cyclic component has two distinct nodes of in-degree exactly one, no
     label exceeds ceil(log2 n), and every node stays in the active set or
     inside the contracted arcs.  At the end, the number of F paths through
-    each active node must equal iterations minus its label.  A round whose
-    W equals the last covered W reuses that cover, which is optimal for it;
-    W only shrinks, so no earlier W comes back.
+    each active node must equal iterations minus its label.
 
     decompose_flow peels cycles first, so a round that peels none had an
     acyclic support, and leaves W, H and the labels as they were.  Every
@@ -88,22 +86,22 @@ def run_cover_loop(inst, k, iterations):
     last round's paths are one decomposition of the accumulated arcs plus
     the cover once per round left.  The loop makes that one decomposition
     and records the remaining rounds' cover costs, trace entries and
-    checks without decomposing again.
+    checks without decomposing again.  A round that peels a cycle drops
+    at least one node from W, so the loop solves a new cover exactly in
+    the rounds before it settles, and reuses the last one after.
     """
     require_count(k, "k")
     require_count(iterations, "iterations")
     n, s, t = inst.n, inst.s, inst.t
     log_n = ceil_log2_int(n)
     state = CoverLoopState(W=set(range(n)), labels=[0] * n, F=[], H=Counter())
-    covered = None  # the W that cover and cover_arcs were solved for
     settled = False  # a round peeled no cycle, so state.F is already final
 
     for it in range(iterations):
         state.iteration = it + 1
-        if state.W != covered:
+        if not settled:
             cover = min_k_path_cycle_cover(inst, state.W, k)
             cover_arcs = cover.arcs()
-            covered = set(state.W)
         state.cover_costs.append(cover.cost)
         entry = {
             "iteration": it + 1,
@@ -200,9 +198,7 @@ def _splice_components(paths, state):
         tour = euler_tour(comp, rep)
         walk = [rep] + [b for _, b in tour]
         cycle_order = shortcut(walk)
-        host = next((i for i, p in enumerate(paths) if rep in p), None)
-        if host is None:
-            raise InvariantError(f"representative {rep} is on no path", state=state)
+        host = next(i for i, p in enumerate(paths) if rep in p)
         pos = paths[host].index(rep)
         paths[host] = paths[host][:pos + 1] + cycle_order[1:] + paths[host][pos + 1:]
     return paths
@@ -252,14 +248,11 @@ def multipath_cover(inst, k):
     if n == 2:
         return [[s, t] for _ in range(k)]
 
-    log_n = ceil_log2_int(n)
     W = set(range(n))
     covers = []
     rounds = 0
     while W != {s, t}:
         rounds += 1
-        if rounds > log_n:
-            raise InvariantError("active set failed to halve within its budget")
         cover = min_k_path_cycle_cover(inst, W, k)
         covers.append(cover)
         before = len(W) - 2
@@ -296,8 +289,6 @@ def multipath_cover(inst, k):
     covered = {v for p in paths for v in p}
     if covered != set(range(n)):
         raise InvariantError(f"paths miss nodes {sorted(set(range(n)) - covered)}")
-    if len(paths) > k * log_n:
-        raise InvariantError("emitted more paths than the budget allows")
     total = sum((inst.path_cost(p) for p in paths), ZERO)
     cover_total = sum((c.cost for c in covers), ZERO)
     if total > cover_total:

@@ -440,9 +440,9 @@ def topological_order(arcs, nodes):
     succ = {u: [] for u in nodes}
     arc_set = set()
     for u, v in arcs:
-        if (u, v) in arc_set or u == v:
-            if u == v:
-                raise InputError(f"self-loop ({u},{u})")
+        if u == v:
+            raise InputError(f"self-loop ({u},{u})")
+        if (u, v) in arc_set:
             continue
         arc_set.add((u, v))
         succ[u].append(v)

@@ -1,12 +1,15 @@
 import hashlib
 import json
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
 from asympath import atspp, lp, metric, oracle
-from asympath.errors import InputError
+from asympath.cover import min_k_path_cycle_cover
+from asympath.errors import InputError, InvariantError
 from asympath.rational import ceil_log2_int, to_json
 
 import kernel_reference as ref
@@ -257,3 +260,88 @@ def test_cover_loop_decomposes_once_settled_as_every_round_would(monkeypatch):
                 assert state.cover_costs == want.cover_costs
                 rounds += iterations
     assert len(calls) < rounds / 2  # most rounds are settled
+
+
+# the console-script instance keeps every node active, so its cover loop
+# contracts nothing; this one contracts the cycle 1 -> 2 -> 1
+STEADY = metric.gen_random(5, seed=1, max_weight=100)
+CONTRACTING = metric.gen_random(4, seed=4, max_weight=50)
+# rows of 1, 2 and 50 that break the triangle inequality
+NON_METRIC = metric.MetricInstance(6, 0, 5, [
+    [0, 2, 1, 50, 2, 2], [2, 0, 50, 1, 50, 1], [1, 1, 0, 2, 2, 50],
+    [2, 1, 50, 0, 1, 1], [1, 2, 2, 2, 0, 50], [1, 50, 50, 50, 1, 0]])
+
+
+def _loop(inst):
+    return lambda: atspp.run_cover_loop(inst, 1, 2 * ceil_log2_int(inst.n) + 1)
+
+
+def _extra_contraction(state, *_):
+    # a 2-cycle between two active nodes that no round contracted
+    state.H.update({(1, 2): 1, (2, 1): 1})
+    return state
+
+
+# each check of atspp.py, keyed by its name or a piece of its message, and
+# the fault that makes it fire: (call, rewrite, run) makes atspp's call to
+# call answer rewrite(its real answer, *its arguments) while run runs; a
+# run on distances that break the triangle inequality needs no call
+ATSPP_FAULTS = {
+    "integral flow decomposed fractionally": (
+        "decompose_flow", lambda dec, *_: replace(
+            dec, paths=[(p, amt / 2) for p, amt in dec.paths * 2]), _loop(STEADY)),
+    "component-avoids-endpoints": (
+        "decompose_flow", lambda dec, *_: replace(dec, cycles=[([0, 2], F(1))]), _loop(STEADY)),
+    "two-unit-indegree-nodes": (
+        "decompose_flow", lambda dec, *_: replace(dec, cycles=[([1, 2], F(2))]), _loop(STEADY)),
+    # a cover of every node, not of the active set, covers the contracted
+    # nodes again each round
+    "label-bound": (
+        "min_k_path_cycle_cover", lambda _, inst, W, k: min_k_path_cycle_cover(
+            inst, range(inst.n), k), _loop(CONTRACTING)),
+    "path-count-balance": (
+        "decompose_flow", lambda dec, *_: replace(
+            dec, paths=[([0, 4], amt) for _, amt in dec.paths]), _loop(STEADY)),
+    "stitch-spans-active-set": (
+        "topological_order", lambda order, *_: order[::-1], lambda: atspp.solve_atspp(STEADY)),
+    "consecutive-share-arc": (
+        "topological_order", lambda order, *_: [order[0], order[2], order[1], *order[3:]],
+        lambda: atspp.solve_atspp(STEADY)),
+    "single-shared-splice-node": (
+        "run_cover_loop", _extra_contraction, lambda: atspp.solve_atspp(STEADY)),
+    "hamiltonian-output": (
+        "shortcut", lambda walk, *_: walk[:-1], lambda: atspp.solve_atspp(STEADY)),
+    "cost-below-cover-total": (None, None, lambda: atspp.solve_atspp(NON_METRIC)),
+    "interior of W did not halve": (
+        "min_k_path_cycle_cover", lambda cover, *_: replace(
+            cover, cycles=[[v] for v in range(1, 4)]), lambda: atspp.multipath_cover(STEADY, 1)),
+    "cover union is not Eulerian": (
+        "min_k_path_cycle_cover", lambda cover, *_: replace(
+            cover, paths=[p[:-1] for p in cover.paths]), lambda: atspp.multipath_cover(STEADY, 1)),
+    "tour did not split cleanly": (
+        "euler_tour", lambda tour, *_: tour[:-1], lambda: atspp.multipath_cover(STEADY, 1)),
+    "paths miss nodes": (
+        "shortcut", lambda walk, *_: [walk[0], walk[-1]], lambda: atspp.multipath_cover(STEADY, 1)),
+    "shortcut paths cost more than the covers": (
+        None, None, lambda: atspp.multipath_cover(NON_METRIC, 1)),
+    "chain-count": (
+        "max_bipartite_matching", lambda *_: {}, lambda: atspp.solve_k_person(STEADY, 1)),
+    # 1 -> 2 -> 1 is no chain: only 3 starts one
+    "chains-partition-interior": (
+        "max_bipartite_matching", lambda *_: {1: 2, 2: 1}, lambda: atspp.solve_k_person(STEADY, 1)),
+    # the contracted cycle comes back without its last node, or not shortcut
+    "k-person-coverage": (
+        "shortcut", lambda walk, *_: walk[:-1], lambda: atspp.solve_k_person(CONTRACTING, 1)),
+    "k-person-path-simple": (
+        "shortcut", lambda _, walk: walk, lambda: atspp.solve_k_person(CONTRACTING, 1)),
+}
+
+
+@pytest.mark.parametrize("check", sorted(ATSPP_FAULTS))
+def test_check_fires(check, monkeypatch):
+    call, rewrite, run = ATSPP_FAULTS[check]
+    if call:
+        real = getattr(atspp, call)
+        monkeypatch.setattr(atspp, call, lambda *args: rewrite(real(*args), *args))
+    with pytest.raises(InvariantError, match=re.escape(check)):
+        run()

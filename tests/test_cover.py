@@ -1,11 +1,13 @@
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
 
 from asympath import cover, lp, metric
-from asympath.errors import ContractError, InputError
+from asympath.errors import ContractError, InputError, InvariantError
 from asympath.graphs import ArcFlow
 
 F = Fraction
@@ -163,3 +165,119 @@ class TestStrengthen:
         x = ArcFlow.from_paths([[0, 3]])  # skips nodes 1 and 2 entirely
         with pytest.raises(ContractError):
             cover.strengthen_fractional_cover(x, F(2, 3), inst, range(4))
+
+
+def _non_metric(n, far):
+    """Unit distances but for the arcs in far, which cost 1000: a
+    MetricInstance does not check the triangle inequality."""
+    d = [[0 if u == v else (1000 if (u, v) in far else 1) for v in range(n)]
+         for u in range(n)]
+    return metric.MetricInstance(n, 0, n - 1, d)
+
+
+def _strengthen(inst, paths, alpha=1):
+    """strengthen_fractional_cover on the flow that splits one unit evenly
+    over paths, at requirement alpha."""
+    share = F(1, len(paths))
+    x = ArcFlow()
+    for p in paths:
+        for u, v in zip(p, p[1:]):
+            x.add(u, v, share)
+    return lambda: cover.strengthen_fractional_cover(x, alpha, inst, range(inst.n))
+
+
+def _strengthen_path():
+    return _strengthen(metric.gen_random(5, seed=1, max_weight=20), [[0, 1, 2, 3, 4]])
+
+
+def _fake_decomposition(monkeypatch, rewrite):
+    """decompose_flow answers rewrite(its real decomposition)."""
+    real = cover.decompose_flow
+    monkeypatch.setattr(cover, "decompose_flow",
+                        lambda flow, s, t: rewrite(real(flow, s, t)))
+
+
+def _fake_path_flow(monkeypatch, rewrite):
+    """ArcFlow.from_paths, as cover calls it, builds the unit flows along
+    rewrite(paths)."""
+    class Faulty(ArcFlow):
+        @classmethod
+        def from_paths(cls, paths):
+            return ArcFlow.from_paths(rewrite(paths))
+
+    monkeypatch.setattr(cover, "ArcFlow", Faulty)
+
+
+def _cover_fault(monkeypatch):
+    real = cover.min_cost_perfect_matching
+    monkeypatch.setattr(cover, "min_cost_perfect_matching",
+                        lambda cost: (real(cost)[0], real(cost)[1] + 1))
+    inst = metric.gen_random(5, seed=1, max_weight=20)
+    return lambda: cover.min_k_path_cycle_cover(inst, range(5), 1)
+
+
+def _thin_paths(monkeypatch):
+    _fake_decomposition(monkeypatch, lambda dec: replace(
+        dec, paths=[(p, amt / 10) for p, amt in dec.paths]))
+    return _strengthen_path()
+
+
+def _endpoint_cycle(monkeypatch):
+    _fake_decomposition(monkeypatch, lambda dec: replace(dec, cycles=[([0, 2], F(1))]))
+    return _strengthen_path()
+
+
+def _bare_path(monkeypatch):
+    _fake_decomposition(monkeypatch, lambda dec: replace(dec, paths=[([0, 4], F(1))]))
+    return _strengthen_path()
+
+
+def _reversed_order(monkeypatch):
+    monkeypatch.setattr(cover, "topological_order",
+                        lambda arcs, nodes: sorted(nodes, reverse=True))
+    return _strengthen_path()
+
+
+def _short_order(monkeypatch):
+    monkeypatch.setattr(cover, "topological_order", lambda arcs, nodes: [0, 4])
+    return _strengthen_path()
+
+
+def _doubled_path(monkeypatch):
+    _fake_path_flow(monkeypatch, lambda paths: paths * 2)
+    return _strengthen_path()
+
+
+def _cut_path(monkeypatch, t):
+    _fake_path_flow(monkeypatch, lambda paths: [p[:-1] for p in paths])
+    inst = metric.gen_random(4, seed=1, max_weight=20)
+    inst = metric.MetricInstance(4, 0, t, inst.d)
+    return _strengthen(inst, [[0] + [v for v in (1, 2, 3) if v != t] + [t]])
+
+
+# each check of cover.py, keyed by a piece of its message, and the fault
+# that makes it fire: a wrong answer from the call it checks, or distances
+# that break the triangle inequality
+COVER_FAULTS = {
+    "cover cost disagrees with matching cost": _cover_fault,
+    "endpoints lost their path flow": _thin_paths,
+    "a cycle passes through an endpoint": _endpoint_cycle,
+    "lacks cycle flow": _bare_path,
+    "surviving nodes are not ordered from s to t": _reversed_order,
+    "source does not emit exactly one unit": _doubled_path,
+    # sink 1 sorts before the node left without its out-arc
+    "sink does not absorb exactly one unit": lambda mp: _cut_path(mp, 1),
+    "rounded flow unbalanced at": lambda mp: _cut_path(mp, 3),
+    "rounded flow below one unit at": _short_order,
+    # the two paths meet in the cycle 1 -> 2 -> 1, so only s and t survive,
+    # and the rounded flow takes the far arc 0 -> 3
+    "rounded flow exceeded its cost bound": lambda mp: _strengthen(
+        _non_metric(4, {(0, 3)}), [[0, 1, 2, 3], [0, 2, 1, 3]]),
+}
+
+
+@pytest.mark.parametrize("check", sorted(COVER_FAULTS))
+def test_check_fires(check, monkeypatch):
+    run = COVER_FAULTS[check](monkeypatch)
+    with pytest.raises(InvariantError, match=re.escape(check)):
+        run()

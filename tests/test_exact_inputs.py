@@ -1,7 +1,9 @@
 """Floats and bools are rejected where values enter exact arithmetic; ints
 and "p/q" strings are taken as the exact rationals they name.  Nodes, arcs
-and weight lists that do not fit the instance, and path counts that are not
-ints of at least 1, raise InputError."""
+and weight lists that do not fit the instance, path counts that are not
+ints of at least 1, and degenerate kernel arguments (a self-loop, a source
+equal to its sink, a non-square matrix) raise InputError; the remaining
+edge inputs are answered by each function's own rule."""
 
 from collections import Counter
 from fractions import Fraction as F
@@ -9,8 +11,16 @@ from fractions import Fraction as F
 import pytest
 
 from asympath import atspp, cli, cover, latency, lp, metric, oracle, rational
-from asympath.errors import InputError
-from asympath.graphs import ArcFlow, FlowNetwork, decompose_flow, max_flow_min_cut
+from asympath.errors import ContractError, InputError
+from asympath.graphs import (
+    ArcFlow,
+    FlowNetwork,
+    decompose_flow,
+    euler_tour,
+    max_flow_min_cut,
+    min_cost_perfect_matching,
+    topological_order,
+)
 from asympath.metric import MetricInstance, gen_random
 from asympath.simplex import LpModel, SimplexSolver
 
@@ -149,6 +159,16 @@ def test_exact_value_is_accepted(entry, value):
     lambda: atspp.run_cover_loop(INST, 0, 3),
     # True == 1, but it names no node set
     lambda: lp.flow_alpha_violations(True, 0, 1, ArcFlow.from_paths([[0, 1]]), 1),
+    lambda: min_cost_perfect_matching([[1, 2], [3]]),
+    lambda: max_flow_min_cut({(0, 1): 1}, 0, 0),
+    lambda: decompose_flow(Counter({(0, 1): 1}), 0, 0),
+    lambda: topological_order([(0, 1), (1, 1)], range(2)),
+    lambda: euler_tour([(0, 1), (1, 1), (1, 0)], 0),
+    lambda: euler_tour(Counter({(0, 1): -1, (1, 0): -1}), 0),
+    lambda: euler_tour([(0, 1), (1, 0)], 2),
+    lambda: ArcFlow({(0, 1): 1}).scaled(-1),
+    lambda: latency.append([], [0, 1], INST),
+    lambda: _model().add_var("x"),
 ], ids=["cover-node", "induced-node", "k-person-k", "k-person-bool-k", "cover-float-k",
         "multipath-bool-k", "solve-k-person-float-k", "closure-negative-node",
         "closure-node-past-n", "closure-one-node", "closure-negative-arc",
@@ -160,8 +180,37 @@ def test_exact_value_is_accepted(entry, value):
         "gap-report-float-seed", "gap-report-string-seed", "induced-bool-node",
         "cover-bool-node", "latency-bool-node", "induced-float-node", "cover-float-node",
         "latency-float-node", "cover-loop-negative-iterations", "cover-loop-float-iterations",
-        "cover-loop-bool-iterations", "cover-loop-zero-k", "alpha-violations-bool-nodes"])
+        "cover-loop-bool-iterations", "cover-loop-zero-k", "alpha-violations-bool-nodes",
+        "matching-not-square", "max-flow-source-is-sink", "decompose-s-is-t",
+        "topological-self-loop", "euler-self-loop", "euler-negative-multiplicity",
+        "euler-start-off-the-arcs", "arc-flow-negative-scale", "append-empty-route",
+        "lp-duplicate-variable"])
 def test_misfit_argument_raises_input_error(call):
     with pytest.raises(InputError) as exc:
         call()
     assert type(exc.value) is InputError
+
+
+@pytest.mark.parametrize("call, expected", [
+    (lambda: min_cost_perfect_matching([]), ([], 0)),
+    (lambda: euler_tour([], 0), []),
+    # a flow from t back to s
+    (lambda: decompose_flow(Counter({(1, 0): 1}), 0, 1), ContractError),
+    (lambda: rational.floor_log2(0), ValueError),
+    (lambda: rational.ceil_log2_int(0), ValueError),
+    (lambda: lp.flow_alpha_violations(3, 0, 2, ArcFlow.from_paths([[0, 1, 2], [1, 0]]), 1),
+     ["source in-flow 1 != 0", "imbalance at 1: out 2 in 1"]),
+    (lambda: lp.flow_alpha_violations(3, 0, 2, ArcFlow.from_paths([[0, 1, 2], [2, 1]]), 1),
+     ["imbalance at 1: out 1 in 2", "sink out-flow 1 != 0"]),
+    (lambda: lp.flow_alpha_violations(3, 0, 2, ArcFlow.from_paths([[0, 3, 2]]), 1),
+     ["flow leaves the node set"]),
+], ids=["matching-empty", "euler-empty", "decompose-reversed-flow", "floor-log2-zero",
+        "ceil-log2-zero", "alpha-violations-source-in-flow",
+        "alpha-violations-sink-out-flow", "alpha-violations-off-the-nodes"])
+def test_boundary_guard(call, expected):
+    """Edge inputs the functions answer or refuse by their own rule."""
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call()
+    else:
+        assert call() == expected

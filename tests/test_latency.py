@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from dataclasses import replace
 from fractions import Fraction
 
@@ -179,22 +180,78 @@ def test_latency_pipeline_is_pinned(n, max_weight):
     assert digest == PIPELINE_DIGESTS[(n, max_weight)]
 
 
-def test_weighted_bookkeeping_is_cross_checked(monkeypatch):
-    real = latency.total_latency
-    monkeypatch.setattr(latency, "total_latency",
-                        lambda inst, order: real(inst, order) + 1)
-    with pytest.raises(InvariantError, match="latency bookkeeping mismatch"):
-        latency.solve_latency(pipeline_instance(5, 0, 7))
+PIPE5 = pipeline_instance(5, 0, 7)
 
 
-def test_normalization_growth_is_checked(monkeypatch):
+def _stretch(factor):
+    """normalize_latencies answers with the latest node before t moved to
+    factor times t's latency, and the objective unchanged."""
+    def fake(result, sol, inst):
+        floored, sigma = result
+        ell = dict(floored.ell)
+        ell[max((u for u in ell if u != inst.t), key=ell.get)] = factor * ell[inst.t]
+        return replace(floored, ell=ell), sigma
+    return fake
+
+
+def _long_hop(when):
+    """append's hop, a million too long on the calls when(route, path, inst)
+    picks."""
+    return lambda result, *args: (result[0], result[1] + 10 ** 6 * when(*args))
+
+
+def _non_metric(d):
+    return lambda: latency.solve_latency(metric.MetricInstance(len(d), 0, len(d) - 1, d))
+
+
+# each check of latency.py, keyed by its name or a piece of its message,
+# and the fault that makes it fire: (call, rewrite, run) makes latency's
+# call to call answer rewrite(its real answer, *its arguments) while run
+# runs; a run on distances that break the triangle inequality needs no call
+LATENCY_FAULTS = {
+    "normalization-floor": (
+        "normalize_latencies", lambda result, *_: (result[0], 2 * result[1]), None),
+    # past n^2 = 25 times the smallest latency
+    "normalization-spread": ("normalize_latencies", _stretch(2 * 5 * 5), None),
     # a floored objective past (1 + 1/n) times the LP optimum
-    real = latency.normalize_latencies
+    "normalization-growth": (
+        "normalize_latencies", lambda result, *_: (
+            replace(result[0], objective=2 * result[0].objective), result[1]), None),
+    # a latency past t's lands above the last scale
+    "falls outside the scales": ("normalize_latencies", _stretch(2), None),
+    # the scale of a latency that is not a power of 2 taken one too high
+    "bucket-lower-bound": (
+        "floor_log2", lambda p, value: p + (value != 2 ** p), None),
+    # with no order values, no pivot has a fan: the heavier of bucket 1's
+    # two nodes outweighs the pivot
+    "pivot-coverage": ("normalize_latencies", lambda result, *_: (
+        replace(result[0], x=dict.fromkeys(result[0].x, 0)), result[1]), None),
+    "pivot-path-cover-cost": (None, None, _non_metric([
+        [0, 20, 400, 3, 400, 20], [400, 0, 20, 400, 3, 400], [1, 3, 0, 20, 1, 1],
+        [400, 400, 1, 0, 400, 1], [3, 400, 20, 1, 0, 20], [1, 20, 20, 3, 3, 0]])),
+    "pivot-path-length": ("solve_atspp", lambda result, *_: (
+        replace(result[0], cost=10 ** 6 * result[0].cost), result[1]), None),
+    "strong-append": ("append", _long_hop(lambda route, path, inst: True), None),
+    "family-size": ("multipath_cover", lambda paths, sub, k: paths * sub.n, None),
+    "family-length": (None, None, _non_metric([
+        [0, 2, 1, 1000, 1000], [2, 0, 1, 1, 1], [1000, 1, 0, 1000, 2],
+        [1, 2, 1, 0, 1], [1, 1, 1, 1000, 0]])),
+    # a family path ends at the pivot, where the pivot path left the route
+    "family-append": ("append", _long_hop(lambda route, path, inst: route[-1] == path[-1]), None),
+    "tail-length": (None, None, _non_metric([
+        [0, 2, 2, 1000], [1, 0, 1, 1], [2, 1, 0, 1], [1, 2, 1, 0]])),
+    "tail-append": ("append", _long_hop(lambda route, path, inst: path[-1] == inst.t), None),
+    "latency route is not a Hamiltonian s-t order": (
+        "shortcut", lambda walk, *_: walk[:-1], None),
+    "latency bookkeeping mismatch": ("total_latency", lambda total, *_: total + 1, None),
+}
 
-    def inflated(sol, inst):
-        floored, sigma = real(sol, inst)
-        return replace(floored, objective=2 * floored.objective), sigma
 
-    monkeypatch.setattr(latency, "normalize_latencies", inflated)
-    with pytest.raises(InvariantError, match="normalization-growth"):
-        latency.solve_latency(pipeline_instance(5, 0, 7))
+@pytest.mark.parametrize("check", sorted(LATENCY_FAULTS))
+def test_check_fires(check, monkeypatch):
+    call, rewrite, run = LATENCY_FAULTS[check]
+    if call:
+        real = getattr(latency, call)
+        monkeypatch.setattr(latency, call, lambda *args: rewrite(real(*args), *args))
+    with pytest.raises(InvariantError, match=re.escape(check)):
+        (run or (lambda: latency.solve_latency(PIPE5)))()

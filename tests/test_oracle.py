@@ -80,6 +80,22 @@ class TestGuidedExactAtspp:
         # all searches together kept fewer arcs than one full search reads
         assert sum(searched) < full
 
+    def test_a_first_search_without_a_path_widens_tau(self, monkeypatch):
+        # reduced costs equal to the distances, over lower 0, are a valid
+        # bound; its first tau admits no Hamiltonian path on these instances
+        found = []
+        sparse = oracle._sparse_dp
+        monkeypatch.setattr(oracle, "_sparse_dp",
+                            lambda *args: found.append(sparse(*args)) or found[-1])
+        for n in (6, 8, 10):
+            for seed in range(3):
+                inst = metric.gen_random(n, seed=seed, max_weight=50)
+                reduced = {(u, v): inst.d[u][v] for u, v in inst.arcs()}
+                found.clear()
+                res = oracle.exact_atspp(inst, (0, atspp.solve_atspp(inst)[0].cost, reduced))
+                assert res == oracle.exact_atspp(inst)
+                assert found[0] is None and found[-1] is not None
+
     @pytest.mark.parametrize("fault", ["missing", "negative", "crossed", "upper-too-low"])
     def test_bad_bound_raises_input_error(self, fault):
         inst = metric.gen_random(7, seed=2, max_weight=20)
